@@ -9,6 +9,7 @@ gradients for every op the rest of the package composes.
 import numpy as np
 
 import uqtrain.tensor as T
+from uqtrain.heads import build_vector_network
 
 
 def scalar_chain():
@@ -34,16 +35,21 @@ def gradient_accumulation():
     print(f"d/dx sum(x^2 + x) at {x.values}: {x.grad} (expect 2x + 1)")
 
 
-def convolution_forward():
-    rng = np.random.default_rng(1)
-    img = T.constant(rng.standard_normal((1, 1, 5, 5)))
-    kernel = T.parameter(rng.standard_normal((2, 1, 3, 3)) * 0.5)
+def grid_statistics():
+    # the backbone's blocks are affine layers read as (C, H, W) grids;
+    # their channel statistics are what compensation perturbs
+    net = build_vector_network(input_dim=5, num_classes=3, embed_dim=4,
+                               grids=((2, 2, 3), (2, 2, 3)), seed=1)
+    block = net.blocks[0]
+    x = T.constant(np.random.default_rng(1).standard_normal((4, 5)))
     with T.Tape() as tape:
-        out = T.total_sum(T.conv2d(img, kernel, padding=1))
+        grid = block.apply(x)
+        stats = T.add(T.spatial_mean(grid), T.spatial_std(grid))
+        out = T.total_sum(stats)
     T.backward(out, tape)
-    print(f"conv2d output map: {(2, 5, 5)}, kernel gradient shape "
-          f"{kernel.grad.shape}, finite everywhere: "
-          f"{np.isfinite(kernel.grad).all()}")
+    print(f"block output grid {grid.shape}, channel statistics "
+          f"{stats.shape}, weight gradient shape {block.weight.grad.shape}, "
+          f"finite everywhere: {np.isfinite(block.weight.grad).all()}")
 
 
 def stability_check():
@@ -56,5 +62,5 @@ def stability_check():
 if __name__ == "__main__":
     scalar_chain()
     gradient_accumulation()
-    convolution_forward()
+    grid_statistics()
     stability_check()

@@ -55,10 +55,6 @@ class TrainConfig:
     data_train: str = ""
     data_test: str = ""
 
-    # test hook: mark every triplet invalid, degrading train_step to the
-    # plain classification baseline
-    force_invalid_triplets: bool = False
-
     def validate(self) -> "TrainConfig":
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2")

@@ -17,10 +17,6 @@ class ContractError(UqtrainError):
     """A documented precondition was violated by the caller."""
 
 
-class DomainError(UqtrainError):
-    """An elementwise op was fed values outside its mathematical domain."""
-
-
 class DegenerateDenominator(UqtrainError):
     """A division (or norm) hit a denominator too close to zero."""
 
@@ -38,7 +34,7 @@ class LabelError(UqtrainError):
 
 
 class NumericalDivergence(UqtrainError):
-    """Training produced a non-finite loss or parameter value."""
+    """Training produced a non-finite loss."""
 
 
 class GenerationError(UqtrainError):

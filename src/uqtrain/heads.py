@@ -49,36 +49,6 @@ class DenseGridBlock:
         c, h, w = self.grid
         return T.reshape(z, (x.shape[0], c, h, w))
 
-    def post(self, feat: T.DiffArray) -> T.DiffArray:
-        return feat
-
-    def out_elems(self) -> int:
-        c, h, w = self.grid
-        return c * h * w
-
-
-class ConvGridBlock:
-    """3x3 same-padding convolution, optionally followed by 2x2 max pool."""
-
-    def __init__(self, kernel: T.DiffArray, bias: T.DiffArray, pool: bool):
-        if kernel.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
-            raise ShapeError(f"kernel must be (Cout, Cin, K, K), got "
-                             f"{kernel.shape}")
-        if bias.shape != (kernel.shape[0],):
-            raise ShapeError(f"bias {bias.shape} does not match "
-                             f"{kernel.shape[0]} output channels")
-        self.kernel = kernel
-        self.bias = bias
-        self.pool = bool(pool)
-
-    def apply(self, x: T.DiffArray) -> T.DiffArray:
-        pad = self.kernel.shape[2] // 2
-        z = T.conv2d(x, self.kernel, padding=pad)
-        return T.add(z, T.reshape(self.bias, (1, self.kernel.shape[0], 1, 1)))
-
-    def post(self, feat: T.DiffArray) -> T.DiffArray:
-        return T.max_pool2(feat) if self.pool else feat
-
 
 @dataclass
 class UncertainBatch:
@@ -114,12 +84,8 @@ class Network:
         """Stable (name, array) listing; order is part of the format."""
         out = []
         for i, blk in enumerate(self.blocks):
-            if isinstance(blk, DenseGridBlock):
-                out.append((f"block{i}.weight", blk.weight))
-                out.append((f"block{i}.bias", blk.bias))
-            else:
-                out.append((f"block{i}.kernel", blk.kernel))
-                out.append((f"block{i}.bias", blk.bias))
+            out.append((f"block{i}.weight", blk.weight))
+            out.append((f"block{i}.bias", blk.bias))
         out.extend([("mean_w", self.mean_w), ("mean_b", self.mean_b),
                     ("sigma_w", self.sigma_w), ("sigma_b", self.sigma_b),
                     ("classifier", self.classifier)])
@@ -196,46 +162,10 @@ def build_vector_network(input_dim: int, num_classes: int,
     arch = {"family": "vector", "input_dim": int(input_dim),
             "grids": [list(g) for g in grids],
             "embed_dim": int(embed_dim), "num_classes": int(num_classes)}
-    return _attach_heads(blocks, fan_in, embed_dim, num_classes, seed, arch)
 
-
-def build_conv_network(input_shape: tuple[int, int, int], num_classes: int,
-                       channels=(8, 16), embed_dim: int = 64,
-                       kernel_size: int = 3, seed: int = 0) -> Network:
-    """Backbone for image-like inputs: two conv blocks, pool after the first.
-
-    input_shape is (C, H, W); H and W must keep the pooled maps at least
-    4x4 so the spatial statistics stay meaningful.
-    """
-    cin, h, w = (int(v) for v in input_shape)
-    if num_classes < 2:
-        raise ContractError("need at least 2 classes")
-    if h // 2 < 4 or w // 2 < 4:
-        raise ContractError(f"input {h}x{w} too small: pooled maps must "
-                            "stay at least 4x4")
-    blocks = []
-    pools = [True] + [False] * (len(channels) - 1)
-    fan_c = cin
-    for i, (cout, pool) in enumerate(zip(channels, pools)):
-        rng = keyed_rng(seed, STREAM_INIT, i)
-        fan_in = fan_c * kernel_size * kernel_size
-        k = rng.standard_normal((cout, fan_c, kernel_size, kernel_size))
-        k *= np.sqrt(2.0 / fan_in)
-        blocks.append(ConvGridBlock(T.parameter(k),
-                                    T.parameter(np.zeros(cout)), pool))
-        fan_c = cout
-    feat_dim = fan_c * (h // 2) * (w // 2)
-    arch = {"family": "conv", "input_shape": [cin, h, w],
-            "channels": [int(c) for c in channels],
-            "kernel_size": int(kernel_size),
-            "embed_dim": int(embed_dim), "num_classes": int(num_classes)}
-    return _attach_heads(blocks, feat_dim, embed_dim, num_classes, seed, arch)
-
-
-def _attach_heads(blocks, feat_dim, embed_dim, num_classes, seed, arch):
     rng = keyed_rng(seed, STREAM_INIT, 100)
-    mean_w = rng.standard_normal((feat_dim, embed_dim)) / np.sqrt(feat_dim)
-    sigma_w = rng.standard_normal((feat_dim, embed_dim)) / np.sqrt(feat_dim)
+    mean_w = rng.standard_normal((fan_in, embed_dim)) / np.sqrt(fan_in)
+    sigma_w = rng.standard_normal((fan_in, embed_dim)) / np.sqrt(fan_in)
     classifier = rng.standard_normal((num_classes, embed_dim))
     classifier /= np.sqrt(embed_dim)
     return Network(blocks,
@@ -250,11 +180,6 @@ def build_network_from_arch(arch: dict, seed: int = 0) -> Network:
         return build_vector_network(arch["input_dim"], arch["num_classes"],
                                     arch["embed_dim"],
                                     [tuple(g) for g in arch["grids"]], seed)
-    if family == "conv":
-        return build_conv_network(tuple(arch["input_shape"]),
-                                  arch["num_classes"], arch["channels"],
-                                  arch["embed_dim"],
-                                  arch.get("kernel_size", 3), seed)
     raise ContractError(f"unknown network family {family!r}")
 
 

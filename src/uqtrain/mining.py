@@ -39,17 +39,6 @@ class TripletPlan:
     valid_mask: np.ndarray  # (B,) bool
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b) with smoothed norms; zero vectors give distance 1."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"cosine_distance needs matching vectors, got "
-                         f"{a.shape} and {b.shape}")
-    den = np.sqrt(a @ a) * np.sqrt(b @ b) + EPS_NORM
-    return float(1.0 - (a @ b) / den)
-
-
 def pairwise_cosine_distances(mu: np.ndarray) -> np.ndarray:
     """All-pairs cosine distances of the rows of (B, d).
 

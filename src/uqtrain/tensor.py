@@ -10,20 +10,15 @@ gradients into every leaf.
 Design rules the ops follow:
 
 * all buffers are float64 and ops return fresh arrays (no views escape);
-* degenerate numerics raise (DegenerateDenominator, DomainError) rather
-  than letting NaN or inf propagate silently;
+* degenerate numerics raise (DegenerateDenominator) rather than letting
+  NaN or inf propagate silently;
 * forward values match the textbook definitions, standard deviations use
   the population convention smoothed as sqrt(var + 1e-12).
 """
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateDenominator,
-    DomainError,
-    ShapeError,
-)
+from .errors import ContractError, DegenerateDenominator, ShapeError
 
 # |denominator| below this is treated as a division by zero.
 EPS_DIV = 1e-12
@@ -248,39 +243,6 @@ def relu(x: DiffArray) -> DiffArray:
     return _record(out, (x,), bw)
 
 
-def exp(x: DiffArray) -> DiffArray:
-    out = DiffArray(np.exp(x.values))
-
-    def bw(g):
-        return (g * out.values,)
-
-    return _record(out, (x,), bw)
-
-
-def log(x: DiffArray) -> DiffArray:
-    if np.any(x.values <= 0.0):
-        raise DomainError("log needs strictly positive inputs")
-    out = DiffArray(np.log(x.values))
-
-    def bw(g):
-        return (g / x.values,)
-
-    return _record(out, (x,), bw)
-
-
-def sqrt(x: DiffArray) -> DiffArray:
-    if np.any(x.values < 0.0):
-        raise DomainError("sqrt needs non-negative inputs")
-    out = DiffArray(np.sqrt(x.values))
-
-    def bw(g):
-        if np.any(out.values == 0.0):
-            raise DegenerateDenominator("sqrt gradient at zero")
-        return (g / (2.0 * out.values),)
-
-    return _record(out, (x,), bw)
-
-
 def softplus(x: DiffArray) -> DiffArray:
     out = DiffArray(np.logaddexp(0.0, x.values))
 
@@ -439,131 +401,6 @@ def batch_std(x: DiffArray) -> DiffArray:
 # structured ops
 
 
-def conv2d(x: DiffArray, k: DiffArray, padding: int = 0) -> DiffArray:
-    """2-d cross-correlation, stride 1, symmetric zero padding.
-
-    x: (B, C_in, H, W), k: (C_out, C_in, K, K) with a square kernel.
-    """
-    if x.ndim != 4 or k.ndim != 4:
-        raise ShapeError(f"conv2d needs 4-d operands, got {x.shape}, {k.shape}")
-    if k.shape[2] != k.shape[3]:
-        raise ShapeError(f"conv2d supports square kernels only, got {k.shape}")
-    if x.shape[1] != k.shape[1]:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape[1]}, "
-                         f"kernel expects {k.shape[1]}")
-    padding = int(padding)
-    if padding < 0:
-        raise ShapeError("conv2d padding must be non-negative")
-    b, _, h, w = x.shape
-    co, ci, ks, _ = k.shape
-    ho = h + 2 * padding - ks + 1
-    wo = w + 2 * padding - ks + 1
-    if ho < 1 or wo < 1:
-        raise ShapeError(f"conv2d output would be empty: input {x.shape}, "
-                         f"kernel {ks}, padding {padding}")
-
-    if padding:
-        xp = np.pad(x.values, ((0, 0), (0, 0),
-                               (padding, padding), (padding, padding)))
-    else:
-        xp = x.values
-    res = np.zeros((b, co, ho, wo), dtype=np.float64)
-    for u in range(ks):
-        for v in range(ks):
-            res += np.einsum("bchw,oc->bohw",
-                             xp[:, :, u:u + ho, v:v + wo],
-                             k.values[:, :, u, v])
-    out = DiffArray(res)
-
-    def bw(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(k.values)
-        for u in range(ks):
-            for v in range(ks):
-                gk[:, :, u, v] = np.einsum("bohw,bchw->oc", g,
-                                           xp[:, :, u:u + ho, v:v + wo])
-                gxp[:, :, u:u + ho, v:v + wo] += np.einsum(
-                    "bohw,oc->bchw", g, k.values[:, :, u, v])
-        if padding:
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            gx = gxp
-        return gx, gk
-
-    return _record(out, (x, k), bw)
-
-
-def max_pool2(x: DiffArray) -> DiffArray:
-    """2x2 max pooling with stride 2; ties route to the first position."""
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2 needs a 4-d map, got {x.shape}")
-    b, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"max_pool2 needs even spatial dims, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    win = (x.values.reshape(b, c, ho, 2, wo, 2)
-           .transpose(0, 1, 2, 4, 3, 5)
-           .reshape(b, c, ho, wo, 4))
-    res = win.max(axis=-1)
-    out = DiffArray(res)
-
-    def bw(g):
-        eq = win == res[..., None]
-        first = eq & (np.cumsum(eq, axis=-1) == 1)
-        gwin = first * g[..., None]
-        gx = (gwin.reshape(b, c, ho, wo, 2, 2)
-              .transpose(0, 1, 2, 4, 3, 5)
-              .reshape(b, c, h, w))
-        return (gx,)
-
-    return _record(out, (x,), bw)
-
-
-def l2_norm(x: DiffArray) -> DiffArray:
-    """Rowwise Euclidean norm of a 2-d array; (B, d) -> (B,)."""
-    if x.ndim != 2:
-        raise ShapeError(f"l2_norm needs a 2-d operand, got {x.shape}")
-    norms = np.sqrt(np.sum(x.values ** 2, axis=1))
-    out = DiffArray(norms)
-
-    def bw(g):
-        if np.any(norms == 0.0):
-            raise DegenerateDenominator("l2_norm gradient at a zero row")
-        return (g[:, None] * x.values / norms[:, None],)
-
-    return _record(out, (x,), bw)
-
-
-def cosine_sim(a: DiffArray, b: DiffArray) -> DiffArray:
-    """Rowwise cosine similarity of two (B, d) arrays -> (B,).
-
-    The denominator is smoothed with 1e-12 so zero rows produce a
-    similarity of 0 in the forward pass; their gradient is undefined
-    and raises.
-    """
-    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"cosine_sim needs matching 2-d operands, got "
-                         f"{a.shape} and {b.shape}")
-    dot = np.sum(a.values * b.values, axis=1)
-    na = np.sqrt(np.sum(a.values ** 2, axis=1))
-    nb = np.sqrt(np.sum(b.values ** 2, axis=1))
-    den = na * nb + EPS_DIV
-    sim = dot / den
-    out = DiffArray(sim)
-
-    def bw(g):
-        if np.any(na == 0.0) or np.any(nb == 0.0):
-            raise DegenerateDenominator("cosine_sim gradient at a zero row")
-        gcol = g[:, None]
-        ga = gcol * (b.values / den[:, None]
-                     - (dot * nb / na)[:, None] * a.values / (den ** 2)[:, None])
-        gb = gcol * (a.values / den[:, None]
-                     - (dot * na / nb)[:, None] * b.values / (den ** 2)[:, None])
-        return ga, gb
-
-    return _record(out, (a, b), bw)
-
-
 def log_softmax(x: DiffArray) -> DiffArray:
     """Rowwise log-softmax of (B, K) logits via the log-sum-exp trick."""
     if x.ndim != 2:
@@ -577,47 +414,6 @@ def log_softmax(x: DiffArray) -> DiffArray:
         return (g - p * g.sum(axis=1, keepdims=True),)
 
     return _record(out, (x,), bw)
-
-
-# ---------------------------------------------------------------------------
-# registry + dispatch
-
-OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "scalar_mul": scalar_mul,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "softplus": softplus,
-    "matmul": matmul,
-    "transpose": transpose,
-    "reshape": reshape,
-    "take_rows": take_rows,
-    "sum": total_sum,
-    "row_sum": row_sum,
-    "spatial_mean": spatial_mean,
-    "spatial_std": spatial_std,
-    "batch_mean": batch_mean,
-    "batch_std": batch_std,
-    "conv2d": conv2d,
-    "max_pool2": max_pool2,
-    "l2_norm": l2_norm,
-    "cosine_sim": cosine_sim,
-    "log_softmax": log_softmax,
-}
-
-
-def forward_op(kind: str, inputs, **kwargs) -> DiffArray:
-    """Dispatch an op by name; unknown kinds raise ContractError."""
-    try:
-        fn = OPS[kind]
-    except KeyError:
-        raise ContractError(f"unknown op kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .heads import (
     uncertainty_score,
 )
 from .losses import LossBreakdown, ce_loss, mixup, total_loss, triplet_loss
-from .mining import TripletPlan, mine_triplets
+from .mining import mine_triplets
 from .rng import STREAM_BATCH, keyed_rng
 
 METRICS_COLUMNS = ["epoch", "step", "loss_total", "loss_ce", "loss_triplet",
@@ -83,13 +83,18 @@ class Adam:
                 p.values *= 1.0 - step_lr * decay
 
 
-def adam_update(opt: Adam, lr: float, weight_decay: float = 0.0) -> None:
-    """Functional alias for one optimizer step."""
-    opt.step(lr, weight_decay)
-
-
 # ---------------------------------------------------------------------------
 # batch sampling
+
+
+def _chunk(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    """Consecutive batch_size slices of order.  A 1-sample tail joins the
+    slice before it, since a train step needs at least 2 samples."""
+    chunks = [order[i:i + batch_size]
+              for i in range(0, len(order), batch_size)]
+    if len(chunks) > 1 and len(chunks[-1]) == 1:
+        chunks[-2:] = [np.concatenate(chunks[-2:])]
+    return chunks
 
 
 def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
@@ -107,9 +112,7 @@ def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
         for p in per_class:
             if t < len(p):
                 order.append(p[t])
-    order = np.array(order, dtype=np.int64)
-    return [order[i:i + batch_size]
-            for i in range(0, len(order), batch_size)]
+    return _chunk(np.array(order, dtype=np.int64), batch_size)
 
 
 def random_batches(labels: np.ndarray, batch_size: int, seed: int,
@@ -121,8 +124,7 @@ def random_batches(labels: np.ndarray, batch_size: int, seed: int,
     rng = keyed_rng(seed, STREAM_BATCH, epoch)
     order = rng.permutation(len(labels)).astype(np.int64)
     batches = []
-    for i in range(0, len(order), batch_size):
-        chunk = order[i:i + batch_size]
+    for chunk in _chunk(order, batch_size):
         tries = 0
         while len(np.unique(labels[chunk])) < 2 and tries < max_resample:
             chunk = rng.choice(len(labels), size=len(chunk),
@@ -185,12 +187,6 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
                 u, effective_mined_fraction(cfg, epoch), cfg.seed, epoch,
                 batch_index, mine_positives=cfg.use_positive_branch,
                 mine_negatives=cfg.use_negative_branch)
-            if cfg.force_invalid_triplets:
-                plan = TripletPlan(
-                    pos_index=np.arange(len(labels), dtype=np.int64),
-                    neg_index=np.arange(len(labels), dtype=np.int64),
-                    mined_mask=np.zeros(len(labels), dtype=bool),
-                    valid_mask=np.zeros(len(labels), dtype=bool))
 
         mixed = mixup(u, plan, weighting=cfg.mixup_weighting,
                       include_pos=cfg.use_positive_branch,

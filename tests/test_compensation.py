@@ -189,7 +189,7 @@ def test_eval_mode_is_plain_forward_bitwise():
 
     h = T.constant(x)
     for block in net.blocks:
-        h = block.post(T.relu(block.apply(h)))
+        h = T.relu(block.apply(h))
     h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
     assert a.values.tobytes() == h.values.tobytes()
 
@@ -211,7 +211,7 @@ def test_single_enabled_layer_matches_manual_composition():
                                      "per-element", seed=17, epoch=1,
                                      batch_index=4, layer_index=2)
             feat = compensate(feat, st, draw, one)
-        h = block.post(T.relu(feat))
+        h = T.relu(feat)
     h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
     np.testing.assert_array_equal(out.values, h.values)
 

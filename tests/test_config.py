@@ -1,6 +1,8 @@
 """Config dataclass, flat file format, and the echo round-trip."""
 
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -38,7 +40,6 @@ def test_echo_parse_round_trip_is_exact():
 def test_echo_writes_every_field_once():
     text = echo_config(TrainConfig())
     keys = [line.split("=")[0].strip() for line in text.strip().split("\n")]
-    from dataclasses import fields
     assert keys == [f.name for f in fields(TrainConfig)]
 
 
@@ -127,3 +128,32 @@ def test_grid_and_layers_resolution():
 def test_hidden_grid_needs_spatial_extent():
     with pytest.raises(ConfigError):
         TrainConfig(hidden_grid="16x1x1").validate()
+
+
+def readme_config_rows():
+    """(key, default cell, backticked values) per row of the README's
+    configuration table."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        key = cells[0].strip("`")
+        values = re.findall(r"`([^`]+)`", cells[1] + " " + cells[2])
+        rows.append((key, cells[1].strip("`"), values))
+    return rows
+
+
+def test_readme_configuration_table_matches_config():
+    rows = readme_config_rows()
+    assert len(rows) >= 10
+    names = {f.name for f in fields(TrainConfig)}
+    for key, default, values in rows:
+        assert key in names, f"README documents unknown key {key!r}"
+        documented = apply_overrides(TrainConfig(), {key: default})
+        assert getattr(documented, key) == getattr(TrainConfig(), key), key
+        for value in values:
+            apply_overrides(TrainConfig(), {key: value}).validate()

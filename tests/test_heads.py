@@ -10,7 +10,6 @@ import uqtrain.tensor as T
 from uqtrain.errors import ContractError, DataFormatError, ShapeError
 from uqtrain.heads import (
     SIGMA_FLOOR,
-    build_conv_network,
     build_network_from_arch,
     build_vector_network,
     head_forward,
@@ -112,13 +111,6 @@ def test_builders_are_seed_deterministic():
                for (_, pa), (_, pc) in zip(a.parameters(), c.parameters()))
 
 
-def test_conv_builder_enforces_minimum_maps():
-    net = build_conv_network((1, 8, 8), 2, channels=(4, 4), embed_dim=8)
-    assert net.num_classes == 2
-    with pytest.raises(ContractError):
-        build_conv_network((1, 4, 4), 2, channels=(4, 4), embed_dim=8)
-
-
 def test_checkpoint_round_trip_bitwise(tmp_path):
     net = make_net(seed=6)
     path = os.path.join(tmp_path, "ck.json")
@@ -135,16 +127,25 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 
 def test_checkpoint_rebuilds_from_arch(tmp_path):
-    net = build_conv_network((1, 8, 8), 3, channels=(4, 4), embed_dim=8,
-                             seed=7)
-    path = os.path.join(tmp_path, "conv.json")
+    net = build_vector_network(5, 3, embed_dim=4,
+                               grids=((2, 2, 3), (5, 2, 2), (3, 3, 1)),
+                               seed=7)
+    path = os.path.join(tmp_path, "ck.json")
     save_checkpoint(net, path)
     loaded, _ = load_checkpoint(path)
     assert loaded.arch == net.arch
-    x = np.random.default_rng(8).standard_normal((2, 1, 8, 8))
-    a = loaded.blocks[0].apply(T.constant(x)).values
-    b = net.blocks[0].apply(T.constant(x)).values
-    assert a.tobytes() == b.tobytes()
+    x = np.random.default_rng(8).standard_normal((2, 5))
+
+    def forward(n):
+        h = T.constant(x)
+        for block in n.blocks:
+            h = T.relu(block.apply(h))
+        h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
+        return head_forward(n, h, np.zeros(2, dtype=np.int64))
+
+    a, b = forward(loaded), forward(net)
+    assert a.mean.values.tobytes() == b.mean.values.tobytes()
+    assert a.sigma.values.tobytes() == b.sigma.values.tobytes()
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import uqtrain.tensor as T
 from uqtrain.errors import ContractError, DegenerateBatch
 from uqtrain.heads import UncertainBatch
-from uqtrain.mining import cosine_distance, mine_triplets
+from uqtrain.mining import mine_triplets, pairwise_cosine_distances
 
 EPS_NORM = 1e-12
 
@@ -50,15 +50,19 @@ def oracle_plan(mu, labels):
 
 def test_cosine_distance_closed_forms():
     a = np.array([1.0, 2.0, -3.0])
-    assert cosine_distance(a, a) == pytest.approx(0.0, abs=1e-9)
-    assert cosine_distance(a, -a) == pytest.approx(2.0, abs=1e-9)
-    d = cosine_distance(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    assert d == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-9)
+    d = pairwise_cosine_distances(np.stack([a, a, -a]))
+    assert d[0, 1] == pytest.approx(0.0, abs=1e-9)
+    assert d[0, 2] == pytest.approx(2.0, abs=1e-9)
+    d = pairwise_cosine_distances(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert d[0, 1] == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-9)
+    np.testing.assert_array_equal(d, d.T)
 
 
 def test_cosine_distance_zero_vector_is_one():
-    assert cosine_distance(np.zeros(3), np.array([1.0, 0.0, 0.0])) \
-        == pytest.approx(1.0, abs=1e-9)
+    d = pairwise_cosine_distances(np.array([[0.0, 0.0, 0.0],
+                                            [1.0, 0.0, 0.0]]))
+    assert d[0, 1] == pytest.approx(1.0, abs=1e-9)
+    assert d[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_two_samples_same_label_degrade():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import uqtrain.tensor as T
+from uqtrain import training
 from uqtrain.config import TrainConfig
 from uqtrain.data import make_blobs, split_dataset
 from uqtrain.errors import ContractError, DegenerateBatch
 from uqtrain.heads import build_vector_network
+from uqtrain.mining import TripletPlan
 from uqtrain.training import (
     ABLATION_LADDER,
     METRICS_COLUMNS,
@@ -122,6 +124,19 @@ def test_random_batches_accept_degraded_chunks():
     assert all(len(b) == 4 for b in batches)
 
 
+@pytest.mark.parametrize("n", [257, 2049])
+@pytest.mark.parametrize("sampler", ["balanced", "random"])
+def test_one_sample_tail_joins_previous_batch(n, sampler):
+    ds = make_blobs(3, 4, n, 1.0, seed=n)
+    cfg = small_config(sampler=sampler, batch_size=128, epochs=1)
+    batches = make_batches(ds.labels, cfg, 0)
+    assert [len(b) for b in batches] == [128] * (n // 128 - 1) + [129]
+    if sampler == "balanced":
+        np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
+                                      np.arange(n))
+    fit(build_vector_network(4, 3, 8, [(4, 2, 2)] * 2), ds, ds, cfg)
+
+
 def test_make_batches_respects_sampler_choice():
     labels = np.array([0, 1] * 20)
     cfg = small_config(sampler="random", batch_size=8)
@@ -164,7 +179,7 @@ def test_train_step_rejects_tiny_batches():
                    cfg, opt, 0, 0)
 
 
-def test_degraded_step_equals_hand_built_plain_ce_baseline():
+def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
     """With every mechanism disabled, one train_step must match an
     independently composed plain classifier step parameter for
     parameter."""
@@ -172,8 +187,15 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline():
     x = train.features[:12]
     labels = train.labels[:12]
     cfg = small_config(lr=0.01, weight_decay=1e-4, compensation=False,
-                       triplet_weight=0.0, mined_fraction=0.0,
-                       force_invalid_triplets=True)
+                       triplet_weight=0.0, mined_fraction=0.0)
+
+    def all_invalid(u, *args, **kwargs):
+        n = len(u.labels)
+        return TripletPlan(pos_index=np.arange(n), neg_index=np.arange(n),
+                           mined_mask=np.zeros(n, dtype=bool),
+                           valid_mask=np.zeros(n, dtype=bool))
+
+    monkeypatch.setattr(training, "mine_triplets", all_invalid)
 
     net = build_vector_network(6, 3, 8, [(4, 2, 2)] * 2, seed=5)
     opt = Adam(net.parameters(), lr_multipliers={
@@ -184,7 +206,7 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline():
     with T.Tape() as tape:
         h = T.constant(x)
         for block in ref.blocks:
-            h = block.post(T.relu(block.apply(h)))
+            h = T.relu(block.apply(h))
         h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
         mu = T.add(T.matmul(h, ref.mean_w), ref.mean_b)
         logp = T.log_softmax(T.matmul(mu, T.transpose(ref.classifier)))
