@@ -10,8 +10,8 @@ trusting any one map's exact mean and scale.
 import numpy as np
 
 import uqtrain.tensor as T
-from uqtrain.compensation import (CompensationConfig, PerturbationDraw,
-                                  compensate, draw_perturbation)
+from uqtrain.compensation import (PerturbationDraw, compensate,
+                                  draw_perturbation)
 from uqtrain.stats import layer_stats
 
 
@@ -30,28 +30,26 @@ def main():
     print(f"spread of the stds across the batch:   "
           f"{np.round(st.std_of_stds.values, 3)}")
 
-    cfg = CompensationConfig()
-
     zero = PerturbationDraw(eps_mean=np.zeros((4, 3)),
                             eps_std=np.zeros((4, 3)))
-    identity = compensate(feat, st, zero, cfg)
+    identity = compensate(feat, st, zero)
     print(f"\nzero noise deviation from the input: "
           f"{np.abs(identity.values - x).max():.2e} "
           f"(the transform collapses to the identity)")
 
-    draw = draw_perturbation(4, 3, "per-element", seed=0, epoch=0,
-                             batch_index=0, layer_index=1)
-    out = compensate(feat, st, draw, cfg)
+    draw = draw_perturbation(4, 3, seed=0, epoch=0, batch_index=0,
+                             layer_index=1)
+    out = compensate(feat, st, draw)
     shift = np.abs(out.values - x).mean(axis=(1, 2, 3))
     print(f"per-sample mean absolute shift under a real draw: "
           f"{np.round(shift, 3)}")
     print("(samples whose statistics wobble more get shifted more)")
 
     # the same key always yields the same noise; the next batch differs
-    again = draw_perturbation(4, 3, "per-element", seed=0, epoch=0,
-                              batch_index=0, layer_index=1)
-    other = draw_perturbation(4, 3, "per-element", seed=0, epoch=0,
-                              batch_index=1, layer_index=1)
+    again = draw_perturbation(4, 3, seed=0, epoch=0, batch_index=0,
+                              layer_index=1)
+    other = draw_perturbation(4, 3, seed=0, epoch=0, batch_index=1,
+                              layer_index=1)
     print(f"\nsame (seed, epoch, batch, layer) reproduces the draw: "
           f"{np.array_equal(draw.eps_mean, again.eps_mean)}")
     print(f"a different batch index changes it: "

@@ -133,10 +133,9 @@ def _report_rows(report) -> list:
 
 
 def cmd_eval(args) -> int:
-    cfg = _build_config(args)
     net, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
-    report = evaluate(net, ds, cfg)
+    report = evaluate(net, ds, TrainConfig())
     rows = _report_rows(report)
     for name, value in rows:
         print(f"{name} = {value}")
@@ -152,7 +151,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reject_curve(args) -> int:
-    cfg = _build_config(args)
     net, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     try:
@@ -162,7 +160,7 @@ def cmd_reject_curve(args) -> int:
                           f"{args.rates!r}") from None
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ConfigError("rejection rates must be in [0, 1)")
-    preds, scores = predict(net, ds.features, cfg)
+    preds, scores = predict(net, ds.features, TrainConfig())
     accs = rejection_accuracies(preds == ds.labels, scores, rates)
     rows = [(r, accs[r], len(ds) - int(np.floor(r * len(ds))))
             for r in rates]
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_config_arguments(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None, help="also write a metrics CSV")
@@ -251,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reject-curve",
                        help="accuracy after rejecting uncertain samples")
-    _add_config_arguments(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--rates", default="0,0.1,0.2,0.3")

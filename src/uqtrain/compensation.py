@@ -12,8 +12,8 @@ of means/stds, a map F becomes
 
 with eps_m, eps_s ~ N(0, 1) drawn fresh per step from a keyed stream.
 With eps = 0 this is the identity up to the eps_div smoothing, and in
-expectation it leaves the map unchanged.  The layer is train-only by
-default; evaluation runs the plain forward pass.
+expectation it leaves the map unchanged.  The layer is train-only;
+evaluation runs the plain forward pass.
 """
 
 from dataclasses import dataclass
@@ -29,53 +29,23 @@ from .stats import layer_stats
 # 1e-12 division guard so near-constant channels stay well-conditioned.
 EPS_DIV = 1e-6
 
-PER_ELEMENT = "per-element"
-SHARED_SCALAR = "shared-scalar"
-
-
-@dataclass
-class CompensationConfig:
-    """Where and how compensation is applied."""
-
-    enabled_layers: tuple[int, ...] = (1, 2)  # 1-based block indices
-    mode: str = PER_ELEMENT                   # or SHARED_SCALAR
-    apply_in_eval: bool = False
-    use_batch_stats: bool = False             # normalize with batch-level
-                                              # stats instead of per-instance
-
-    def __post_init__(self):
-        if self.mode not in (PER_ELEMENT, SHARED_SCALAR):
-            raise ContractError(f"unknown compensation mode {self.mode!r}")
-
 
 @dataclass
 class PerturbationDraw:
-    """The Gaussian factors for one layer at one step.
-
-    Per-element mode holds two independent (B, C) fields; shared-scalar
-    mode holds one scalar used for both the shift and the scale.
-    """
+    """The Gaussian factors for one layer at one step: two independent
+    (B, C) fields, one for the shift and one for the scale."""
 
     eps_mean: np.ndarray
     eps_std: np.ndarray
-    mode: str = PER_ELEMENT
 
 
-def draw_perturbation(batch_size: int, channels: int, mode: str,
-                      seed: int, epoch: int, batch_index: int,
-                      layer_index: int) -> PerturbationDraw:
+def draw_perturbation(batch_size: int, channels: int, seed: int, epoch: int,
+                      batch_index: int, layer_index: int) -> PerturbationDraw:
     """Draw the noise for (seed, epoch, batch, layer); same key, same noise."""
     rng = keyed_rng(seed, STREAM_PERTURB, epoch, batch_index, layer_index)
-    if mode == PER_ELEMENT:
-        eps_mean = rng.standard_normal((batch_size, channels))
-        eps_std = rng.standard_normal((batch_size, channels))
-    elif mode == SHARED_SCALAR:
-        e = np.asarray(rng.standard_normal())
-        eps_mean = e
-        eps_std = e
-    else:
-        raise ContractError(f"unknown compensation mode {mode!r}")
-    return PerturbationDraw(eps_mean=eps_mean, eps_std=eps_std, mode=mode)
+    eps_mean = rng.standard_normal((batch_size, channels))
+    eps_std = rng.standard_normal((batch_size, channels))
+    return PerturbationDraw(eps_mean=eps_mean, eps_std=eps_std)
 
 
 def _as_bc11(x: T.DiffArray, b: int, c: int) -> T.DiffArray:
@@ -88,8 +58,8 @@ def _as_bc11(x: T.DiffArray, b: int, c: int) -> T.DiffArray:
                      f"batch {b} / channels {c}")
 
 
-def compensate(feat: T.DiffArray, stats, draw: PerturbationDraw,
-               cfg: CompensationConfig) -> T.DiffArray:
+def compensate(feat: T.DiffArray, stats,
+               draw: PerturbationDraw) -> T.DiffArray:
     """Apply one compensation step to a (B, C, H, W) map.
 
     stats is a LayerStats for this exact map; gradients flow through both
@@ -103,15 +73,12 @@ def compensate(feat: T.DiffArray, stats, draw: PerturbationDraw,
         raise ShapeError(
             f"stats shape {stats.instance_mean.shape} does not match map "
             f"({b}, {c})")
-    if draw.mode == PER_ELEMENT and np.shape(draw.eps_mean) != (b, c):
+    if np.shape(draw.eps_mean) != (b, c):
         raise ShapeError(
             f"perturbation shape {np.shape(draw.eps_mean)} does not match "
             f"map ({b}, {c})")
 
-    if cfg.use_batch_stats:
-        center, scale = stats.mean_of_means, stats.mean_of_stds
-    else:
-        center, scale = stats.instance_mean, stats.instance_std
+    center, scale = stats.instance_mean, stats.instance_std
 
     eps_m = T.constant(draw.eps_mean)
     eps_s = T.constant(draw.eps_std)
@@ -124,29 +91,28 @@ def compensate(feat: T.DiffArray, stats, draw: PerturbationDraw,
                  _as_bc11(jittered_shift, b, c))
 
 
-def forward_with_compensation(x: T.DiffArray, net, cfg: CompensationConfig,
-                              mode: str, seed: int, epoch: int,
+def forward_with_compensation(x: T.DiffArray, net,
+                              enabled_layers: tuple[int, ...], mode: str,
+                              seed: int, epoch: int,
                               batch_index: int) -> T.DiffArray:
     """Run a network's backbone, compensating the enabled layers.
 
-    mode is "train" or "eval".  In eval mode (unless apply_in_eval is
-    set) no statistics are computed and no noise is drawn, so the result
-    is bitwise identical to the plain forward pass.  Returns the flat
-    (B, feature_dim) activations that feed the heads.
+    enabled_layers holds 1-based block indices.  mode is "train" or
+    "eval".  In eval mode no statistics are computed and no noise is
+    drawn, so the result is bitwise identical to the plain forward pass.
+    Returns the flat (B, feature_dim) activations that feed the heads.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-    apply_noise = (mode == "train") or cfg.apply_in_eval
 
     h = x
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
-        if apply_noise and k in cfg.enabled_layers:
+        if mode == "train" and k in enabled_layers:
             st = layer_stats(feat)
             bsz, ch = feat.shape[0], feat.shape[1]
-            draw = draw_perturbation(bsz, ch, cfg.mode, seed, epoch,
-                                     batch_index, k)
-            feat = compensate(feat, st, draw, cfg)
+            draw = draw_perturbation(bsz, ch, seed, epoch, batch_index, k)
+            feat = compensate(feat, st, draw)
         # frees the pre-activation map before the block input; measured on
         # a 1000-row eval batch (2 cores, numpy 2.4.6) this order runs the
         # plain forward ~20% faster than `h = T.relu(feat)`

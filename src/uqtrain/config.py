@@ -23,12 +23,10 @@ class TrainConfig:
     lr: float = 0.002
     weight_decay: float = 1e-4
     head_lr_multiplier: float = 10.0
-    coupled_weight_decay: bool = False
 
     # objective
     triplet_weight: float = 0.003
     mined_fraction: float = 0.2
-    mined_fraction_ramp: bool = False
     margin: float = 1.0
 
     # architecture (vector backbone)
@@ -39,19 +37,13 @@ class TrainConfig:
     # statistic compensation
     compensation: bool = True
     compensation_layers: str = "all"
-    compensation_mode: str = "per-element"
-    compensation_batch_stats: bool = False
-    compensation_in_eval: bool = False
 
-    # mixing / scoring
-    mixup_weighting: str = "sigma"
-    uncertainty_score: str = "mean"
+    # ablation toggles
     use_positive_branch: bool = True
     use_negative_branch: bool = True
     use_triplet_term: bool = True
 
-    # data & sampling
-    sampler: str = "balanced"
+    # data
     data_train: str = ""
     data_test: str = ""
 
@@ -78,17 +70,6 @@ class TrainConfig:
             raise ConfigError("num_blocks must be at least 1")
         self.parse_grid()
         self.resolve_compensation_layers()
-        if self.compensation_mode not in ("per-element", "shared-scalar"):
-            raise ConfigError(f"unknown compensation_mode "
-                              f"{self.compensation_mode!r}")
-        if self.mixup_weighting not in ("sigma", "precision"):
-            raise ConfigError(f"unknown mixup_weighting "
-                              f"{self.mixup_weighting!r}")
-        if self.uncertainty_score not in ("mean", "max"):
-            raise ConfigError(f"unknown uncertainty_score "
-                              f"{self.uncertainty_score!r}")
-        if self.sampler not in ("balanced", "random"):
-            raise ConfigError(f"unknown sampler {self.sampler!r}")
         return self
 
     def parse_grid(self) -> tuple[int, int, int]:

@@ -13,10 +13,7 @@ sum(out * W), so elementwise gradient errors cannot cancel.
 import numpy as np
 
 from . import tensor as T
-from .compensation import (
-    CompensationConfig,
-    forward_with_compensation,
-)
+from .compensation import forward_with_compensation
 from .heads import build_vector_network, head_forward
 from .losses import ce_loss, mixup, total_loss, triplet_loss
 from .mining import mine_triplets
@@ -115,10 +112,10 @@ def end_to_end_case(seed: int):
                                grids=((3, 2, 2), (3, 2, 2)), seed=seed)
     x = rng.standard_normal((batch, 4))
     labels = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-    comp_cfg = CompensationConfig(enabled_layers=(1, 2))
+    layers = (1, 2)
 
     def objective(plan):
-        feats = forward_with_compensation(T.constant(x), net, comp_cfg,
+        feats = forward_with_compensation(T.constant(x), net, layers,
                                           "train", seed, 0, 0)
         u = head_forward(net, feats, labels)
         mixed = mixup(u, plan)
@@ -127,7 +124,7 @@ def end_to_end_case(seed: int):
         return total_loss(ce, tl, triplet_weight=0.003).total
 
     # freeze the plan at the base point
-    feats = forward_with_compensation(T.constant(x), net, comp_cfg,
+    feats = forward_with_compensation(T.constant(x), net, layers,
                                       "train", seed, 0, 0)
     u = head_forward(net, feats, labels)
     plan = mine_triplets(u, p=0.5, seed=seed, epoch=0, batch_index=0)

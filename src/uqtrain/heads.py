@@ -117,17 +117,10 @@ def class_logits(net: Network, embeddings: T.DiffArray) -> T.DiffArray:
     return T.matmul(embeddings, T.transpose(net.classifier))
 
 
-def uncertainty_score(u: UncertainBatch, mode: str = "mean") -> np.ndarray:
-    """Scalar uncertainty per sample, used for ranking at evaluation.
-
-    "mean" averages sigma over the embedding dimensions; "max" takes the
-    largest one.
-    """
-    if mode == "mean":
-        return u.sigma.values.mean(axis=1)
-    if mode == "max":
-        return u.sigma.values.max(axis=1)
-    raise ContractError(f"unknown uncertainty score mode {mode!r}")
+def uncertainty_score(u: UncertainBatch) -> np.ndarray:
+    """Scalar uncertainty per sample, used for ranking at evaluation:
+    sigma averaged over the embedding dimensions."""
+    return u.sigma.values.mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,6 @@ from .errors import ContractError, LabelError, ShapeError
 from .heads import UncertainBatch
 from .mining import TripletPlan
 
-SIGMA_WEIGHTS = "sigma"        # branch weight proportional to its own sigma
-PRECISION_WEIGHTS = "precision"  # proportional to 1 / sigma
-
 
 @dataclass
 class MixedFeatures:
@@ -36,19 +33,15 @@ class MixedFeatures:
 
 
 def mixup(u: UncertainBatch, plan: TripletPlan | None,
-          weighting: str = SIGMA_WEIGHTS,
           include_pos: bool = True,
           include_neg: bool = True) -> MixedFeatures:
     """Blend each embedding with its partners, weighted by uncertainty.
 
-    With sigma weighting each branch's weight is its own sigma divided by
-    the sum of participating sigmas; precision weighting uses 1/sigma
-    instead, so confident branches dominate the blend.  Rows where
-    plan.valid_mask is False (or when both partner branches are switched
-    off) degrade to the identity blend.
+    Each branch's weight is its own sigma divided by the sum of
+    participating sigmas.  Rows where plan.valid_mask is False (or when
+    both partner branches are switched off) degrade to the identity
+    blend.
     """
-    if weighting not in (SIGMA_WEIGHTS, PRECISION_WEIGHTS):
-        raise ContractError(f"unknown mixup weighting {weighting!r}")
     b, d = u.mean.shape
     ones = T.constant(np.ones((b, d)))
     zeros = T.constant(np.zeros((b, d)))
@@ -60,10 +53,7 @@ def mixup(u: UncertainBatch, plan: TripletPlan | None,
     if plan.pos_index.shape != (b,) or plan.neg_index.shape != (b,):
         raise ShapeError("triplet plan does not match batch size")
 
-    if weighting == SIGMA_WEIGHTS:
-        base = u.sigma
-    else:
-        base = T.div(ones, u.sigma)
+    base = u.sigma
 
     parts = [base]
     if include_pos:
@@ -174,8 +164,6 @@ class LossBreakdown:
     total: T.DiffArray
     ce_term: T.DiffArray
     triplet_term: T.DiffArray
-    triplet_weight: float
-    margin: float
 
     def scalars(self) -> tuple[float, float, float]:
         return (float(self.total.values), float(self.ce_term.values),
@@ -183,13 +171,11 @@ class LossBreakdown:
 
 
 def total_loss(ce_term: T.DiffArray, triplet_term: T.DiffArray,
-               triplet_weight: float, margin: float = 1.0) -> LossBreakdown:
+               triplet_weight: float) -> LossBreakdown:
     """total = ce + triplet_weight * triplet, composed on the tape."""
     if triplet_weight < 0:
         raise ContractError(f"triplet weight must be non-negative, got "
                             f"{triplet_weight}")
     total = T.add(ce_term, T.scalar_mul(triplet_weight, triplet_term))
     return LossBreakdown(total=total, ce_term=ce_term,
-                         triplet_term=triplet_term,
-                         triplet_weight=float(triplet_weight),
-                         margin=float(margin))
+                         triplet_term=triplet_term)

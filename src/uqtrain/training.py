@@ -1,4 +1,4 @@
-"""Optimizer, samplers, the train step, and the experiment harness.
+"""Optimizer, batch sampler, the train step, and the experiment harness.
 
 Everything here is deterministic given (config, data): batch order,
 perturbation draws and partner choices come from keyed streams, and the
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .compensation import CompensationConfig, forward_with_compensation
+from .compensation import forward_with_compensation
 from .config import TrainConfig, write_config_echo
 from .data import LabeledDataset
 from .errors import ContractError, DegenerateBatch, NumericalDivergence
@@ -39,12 +39,11 @@ REJECTION_RATES = (0.0, 0.1, 0.2, 0.3)
 
 
 class Adam:
-    """Adam with decoupled weight decay.
+    """Adam with AdamW-style weight decay.
 
     The step is the standard bias-corrected update; decay then shrinks
     the parameters directly (params *= 1 - lr * weight_decay) instead of
-    entering the gradient.  coupled=True restores the classic L2-in-the-
-    gradient behavior.  Biases and other 1-d parameters are never
+    entering the gradient.  Biases and other 1-d parameters are never
     decayed.
     """
 
@@ -52,13 +51,11 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, named_params, coupled: bool = False,
-                 lr_multipliers: dict | None = None):
+    def __init__(self, named_params, lr_multipliers: dict | None = None):
         self.named_params = list(named_params)
         self.m = [np.zeros_like(p.values) for _, p in self.named_params]
         self.v = [np.zeros_like(p.values) for _, p in self.named_params]
         self.t = 0
-        self.coupled = bool(coupled)
         self.lr_multipliers = dict(lr_multipliers or {})
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
@@ -69,8 +66,6 @@ class Adam:
         for (name, p), m, v in zip(self.named_params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             decay = weight_decay if p.values.ndim > 1 else 0.0
-            if self.coupled and decay:
-                g = g + decay * p.values
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -79,7 +74,7 @@ class Adam:
             vhat = v / bias2
             step_lr = lr * self.lr_multipliers.get(name, 1.0)
             p.values -= step_lr * mhat / (np.sqrt(vhat) + self.eps)
-            if not self.coupled and decay:
+            if decay:
                 p.values *= 1.0 - step_lr * decay
 
 
@@ -87,21 +82,12 @@ class Adam:
 # batch sampling
 
 
-def _chunk(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    """Consecutive batch_size slices of order.  A 1-sample tail joins the
-    slice before it, since a train step needs at least 2 samples."""
-    chunks = [order[i:i + batch_size]
-              for i in range(0, len(order), batch_size)]
-    if len(chunks) > 1 and len(chunks[-1]) == 1:
-        chunks[-2:] = [np.concatenate(chunks[-2:])]
-    return chunks
-
-
 def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
                      epoch: int) -> list[np.ndarray]:
     """Class-interleaved batches: shuffle within each class, then deal the
     classes round-robin before chunking, so every batch sees every class
-    at close to its global proportion."""
+    at close to its global proportion.  A 1-sample tail joins the batch
+    before it, since a train step needs at least 2 samples."""
     rng = keyed_rng(seed, STREAM_BATCH, epoch)
     classes = np.unique(labels)
     per_class = [rng.permutation(np.flatnonzero(labels == c))
@@ -112,57 +98,24 @@ def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
         for p in per_class:
             if t < len(p):
                 order.append(p[t])
-    return _chunk(np.array(order, dtype=np.int64), batch_size)
-
-
-def random_batches(labels: np.ndarray, batch_size: int, seed: int,
-                   epoch: int, max_resample: int = 10) -> list[np.ndarray]:
-    """Plain shuffled chunks; a chunk that collapses to a single class is
-    redrawn from the full dataset up to max_resample times, after which
-    the degraded chunk is accepted (the triplet machinery downgrades
-    gracefully on single-class batches)."""
-    rng = keyed_rng(seed, STREAM_BATCH, epoch)
-    order = rng.permutation(len(labels)).astype(np.int64)
-    batches = []
-    for chunk in _chunk(order, batch_size):
-        tries = 0
-        while len(np.unique(labels[chunk])) < 2 and tries < max_resample:
-            chunk = rng.choice(len(labels), size=len(chunk),
-                               replace=False).astype(np.int64)
-            tries += 1
-        batches.append(chunk)
-    return batches
+    order = np.array(order, dtype=np.int64)
+    chunks = [order[i:i + batch_size]
+              for i in range(0, len(order), batch_size)]
+    if len(chunks) > 1 and len(chunks[-1]) == 1:
+        chunks[-2:] = [np.concatenate(chunks[-2:])]
+    return chunks
 
 
 def make_batches(labels, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
-    if cfg.sampler == "balanced":
-        return balanced_batches(labels, cfg.batch_size, cfg.seed, epoch)
-    return random_batches(labels, cfg.batch_size, cfg.seed, epoch)
+    return balanced_batches(labels, cfg.batch_size, cfg.seed, epoch)
 
 
 # ---------------------------------------------------------------------------
 # single training step
 
 
-def _compensation_config(cfg: TrainConfig) -> CompensationConfig:
-    layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
-    return CompensationConfig(enabled_layers=layers,
-                              mode=cfg.compensation_mode,
-                              apply_in_eval=cfg.compensation_in_eval,
-                              use_batch_stats=cfg.compensation_batch_stats)
-
-
 def partners_active(cfg: TrainConfig) -> bool:
     return cfg.use_positive_branch or cfg.use_negative_branch
-
-
-def effective_mined_fraction(cfg: TrainConfig, epoch: int) -> float:
-    """Optionally ramp the mined fraction from 0 to its target over the
-    first half of training (easy pairs first, hard later)."""
-    if not cfg.mined_fraction_ramp:
-        return cfg.mined_fraction
-    half = max(1, cfg.epochs // 2)
-    return cfg.mined_fraction * min(1.0, epoch / half)
 
 
 def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
@@ -172,24 +125,23 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
     NumericalDivergence if the loss leaves the realm of finite numbers."""
     if x.shape[0] < 2:
         raise DegenerateBatch("training batches need at least 2 samples")
-    comp_cfg = _compensation_config(cfg)
+    layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
     use_partners = partners_active(cfg)
 
     with T.Tape() as tape:
         feats = forward_with_compensation(
-            T.constant(x), net, comp_cfg, "train", cfg.seed, epoch,
+            T.constant(x), net, layers, "train", cfg.seed, epoch,
             batch_index)
         u = head_forward(net, feats, labels)
 
         plan = None
         if use_partners:
             plan = mine_triplets(
-                u, effective_mined_fraction(cfg, epoch), cfg.seed, epoch,
+                u, cfg.mined_fraction, cfg.seed, epoch,
                 batch_index, mine_positives=cfg.use_positive_branch,
                 mine_negatives=cfg.use_negative_branch)
 
-        mixed = mixup(u, plan, weighting=cfg.mixup_weighting,
-                      include_pos=cfg.use_positive_branch,
+        mixed = mixup(u, plan, include_pos=cfg.use_positive_branch,
                       include_neg=cfg.use_negative_branch)
         ce = ce_loss(mixed.features, net.classifier, labels, plan,
                      include_pos=cfg.use_positive_branch,
@@ -200,7 +152,7 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
             tl = triplet_loss(u, plan, cfg.margin)
         else:
             tl = T.constant(0.0)
-        breakdown = total_loss(ce, tl, cfg.triplet_weight, cfg.margin)
+        breakdown = total_loss(ce, tl, cfg.triplet_weight)
 
     if not np.isfinite(breakdown.total.values):
         raise NumericalDivergence(
@@ -230,15 +182,14 @@ class EvalReport:
         return self.accuracy_by_rejection[0.0]
 
 
+# cfg is unused; the benchmark's output check calls predict(net, x, cfg)
 def predict(net: Network, x: np.ndarray, cfg: TrainConfig):
     """Eval-mode forward: returns (predictions, uncertainty scores)."""
-    comp_cfg = _compensation_config(cfg)
-    feats = forward_with_compensation(T.constant(x), net, comp_cfg, "eval",
-                                      cfg.seed, 0, 0)
+    feats = forward_with_compensation(T.constant(x), net, (), "eval", 0, 0, 0)
     u = head_forward(net, feats, np.zeros(x.shape[0], dtype=np.int64))
     logits = class_logits(net, u.mean).values
     preds = np.argmax(logits, axis=1)
-    scores = uncertainty_score(u, cfg.uncertainty_score)
+    scores = uncertainty_score(u)
     return preds, scores
 
 
@@ -261,6 +212,7 @@ def rejection_accuracies(correct: np.ndarray, scores: np.ndarray,
     return out
 
 
+# cfg is unused; it mirrors predict's parameter list (see there)
 def evaluate(net: Network, ds: LabeledDataset, cfg: TrainConfig,
              rates=REJECTION_RATES) -> EvalReport:
     preds, scores = predict(net, ds.features, cfg)
@@ -323,7 +275,7 @@ def write_metrics_csv(rows: list, path: str) -> None:
 def fit(net: Network, train_ds: LabeledDataset, test_ds: LabeledDataset,
         cfg: TrainConfig) -> TrainResult:
     """Full training loop; history holds one metrics row per epoch."""
-    opt = Adam(net.parameters(), coupled=cfg.coupled_weight_decay,
+    opt = Adam(net.parameters(),
                lr_multipliers={name: cfg.head_lr_multiplier
                                for name in net.head_param_names()})
     history = []

@@ -121,9 +121,7 @@ def test_criterion_2_statistics_oracle(verdict):
 
 
 def test_criterion_3_compensation_identity_and_zero_mean(verdict):
-    from uqtrain.compensation import CompensationConfig
     rng = np.random.default_rng(30)
-    cfg = CompensationConfig()
     identity_dev = 0.0
     for _ in range(20):
         x = rng.standard_normal((6, 4, 5, 5)) * 2.0
@@ -132,7 +130,7 @@ def test_criterion_3_compensation_identity_and_zero_mean(verdict):
         assert st.instance_std.values.min() >= 0.1
         zero = PerturbationDraw(eps_mean=np.zeros((6, 4)),
                                 eps_std=np.zeros((6, 4)))
-        out = compensate(feat, st, zero, cfg)
+        out = compensate(feat, st, zero)
         identity_dev = max(identity_dev,
                            float(np.max(np.abs(out.values - x))))
 
@@ -140,7 +138,7 @@ def test_criterion_3_compensation_identity_and_zero_mean(verdict):
     means = np.zeros((n, 4, 3))
     stds = np.zeros((n, 4, 3))
     for i in range(n):
-        d = draw_perturbation(4, 3, "per-element", seed=0, epoch=0,
+        d = draw_perturbation(4, 3, seed=0, epoch=0,
                               batch_index=i, layer_index=1)
         means[i] = d.eps_mean
         stds[i] = d.eps_std

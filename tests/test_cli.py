@@ -108,8 +108,7 @@ def test_eval_prints_metrics_and_writes_csv(data_dir, tmp_path, capsys):
     csv_path = os.path.join(tmp_path, "eval.csv")
     code = main(["eval",
                  "--checkpoint", os.path.join(out, "run_checkpoint.json"),
-                 "--data", data_dir["test"], "--out", csv_path]
-                + fast_args(data_dir))
+                 "--data", data_dir["test"], "--out", csv_path])
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "accuracy = " in text
@@ -126,8 +125,7 @@ def test_reject_curve_table(data_dir, tmp_path, capsys):
     capsys.readouterr()
     code = main(["reject-curve",
                  "--checkpoint", os.path.join(out, "run_checkpoint.json"),
-                 "--data", data_dir["test"], "--rates", "0,0.2"]
-                + fast_args(data_dir))
+                 "--data", data_dir["test"], "--rates", "0,0.2"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "rate,accuracy,retained"
@@ -141,9 +139,45 @@ def test_reject_curve_rejects_bad_rates(data_dir, tmp_path, capsys):
     assert main(["train", "--out", out] + fast_args(data_dir)) == EXIT_OK
     code = main(["reject-curve",
                  "--checkpoint", os.path.join(out, "run_checkpoint.json"),
-                 "--data", data_dir["test"], "--rates", "0,1.5"]
-                + fast_args(data_dir))
+                 "--data", data_dir["test"], "--rates", "0,1.5"])
     assert code == EXIT_CONFIG
+
+
+def read_csv_rows(path):
+    with open(path) as f:
+        return [line.split(",") for line in f.read().strip().split("\n")]
+
+
+def test_scoring_depends_only_on_checkpoint_and_data(data_dir, tmp_path,
+                                                     capsys):
+    """eval and reject-curve take no settings, so a model trained with
+    non-default ones scores exactly as its last metrics row says."""
+    out = os.path.join(tmp_path, "run")
+    assert main(["train", "--out", out, "--compensation-layers", "2",
+                 "--mined-fraction", "0.5"]
+                + fast_args(data_dir)) == EXIT_OK
+    history = read_csv_rows(os.path.join(out, "run_metrics.csv"))
+    last = dict(zip(history[0], history[-1]))
+    expect = [float(last[c]) for c in ("test_acc", "rej10", "rej20",
+                                       "rej30")]
+    checkpoint = os.path.join(out, "run_checkpoint.json")
+    eval_csv = os.path.join(tmp_path, "eval.csv")
+    curve_csv = os.path.join(tmp_path, "curve.csv")
+    assert main(["eval", "--checkpoint", checkpoint, "--data",
+                 data_dir["test"], "--out", eval_csv]) == EXIT_OK
+    assert main(["reject-curve", "--checkpoint", checkpoint, "--data",
+                 data_dir["test"], "--out", curve_csv]) == EXIT_OK
+    metrics = dict(read_csv_rows(eval_csv)[1:])
+    assert [float(metrics[m]) for m in (
+        "accuracy", "accuracy_reject_10", "accuracy_reject_20",
+        "accuracy_reject_30")] == expect
+    assert [float(row[1]) for row in read_csv_rows(curve_csv)[1:]] == expect
+
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--checkpoint", checkpoint, "--data", data_dir["test"],
+              "--uncertainty-score", "max"])
+    assert exc.value.code == EXIT_CONFIG
 
 
 def test_gradcheck_command_passes(capsys):
@@ -173,6 +207,14 @@ def test_bad_config_key_exits_2(data_dir, tmp_path, capsys):
                  "--config", bad])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    # keys an older config echo may carry fail the same way, by name
+    for key in ("compensation_batch_stats", "uncertainty_score", "sampler"):
+        with open(bad, "w") as f:
+            f.write(f"epochs = 2\n{key} = x\n")
+        code = main(["train", "--out", os.path.join(tmp_path, "x"),
+                     "--config", bad])
+        assert code == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_divergent_run_exits_3(data_dir, tmp_path, capsys):

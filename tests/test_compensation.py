@@ -6,7 +6,6 @@ import pytest
 import uqtrain.tensor as T
 from uqtrain.compensation import (
     EPS_DIV,
-    CompensationConfig,
     PerturbationDraw,
     compensate,
     draw_perturbation,
@@ -16,13 +15,12 @@ from uqtrain.errors import ContractError, ShapeError
 from uqtrain.heads import build_vector_network
 from uqtrain.stats import layer_stats
 
-CFG = CompensationConfig(enabled_layers=(1, 2))
+ALL = (1, 2)
 
 
 def zero_draw(b, c):
     return PerturbationDraw(eps_mean=np.zeros((b, c)),
-                            eps_std=np.zeros((b, c)),
-                            mode="per-element")
+                            eps_std=np.zeros((b, c)))
 
 
 def random_feat(rng, shape=(4, 3, 4, 4), min_spread=0.0):
@@ -38,7 +36,7 @@ def test_zero_eps_is_identity_up_to_eps_div():
     feat = random_feat(rng, min_spread=0.1)
     st = layer_stats(T.constant(feat))
     assert float(st.instance_std.values.min()) >= 0.1
-    out = compensate(T.constant(feat), st, zero_draw(4, 3), CFG)
+    out = compensate(T.constant(feat), st, zero_draw(4, 3))
     assert np.max(np.abs(out.values - feat)) <= 1e-4
 
 
@@ -47,9 +45,9 @@ def test_constant_channel_collapses_to_jittered_mean():
     feat = rng.standard_normal((3, 2, 2, 2))
     feat[:, 1] = 4.0                      # one spatially constant channel
     st = layer_stats(T.constant(feat))
-    draw = draw_perturbation(3, 2, "per-element", seed=7, epoch=0,
+    draw = draw_perturbation(3, 2, seed=7, epoch=0,
                              batch_index=0, layer_index=1)
-    out = compensate(T.constant(feat), st, draw, CFG).values
+    out = compensate(T.constant(feat), st, draw).values
     expect = (st.instance_mean.values[:, 1]
               + draw.eps_mean[:, 1] * st.std_of_means.values[1])
     for h in range(2):
@@ -61,9 +59,9 @@ def test_compensate_matches_scalar_reference():
     rng = np.random.default_rng(2)
     feat = random_feat(rng)
     st = layer_stats(T.constant(feat))
-    draw = draw_perturbation(4, 3, "per-element", seed=3, epoch=1,
+    draw = draw_perturbation(4, 3, seed=3, epoch=1,
                              batch_index=2, layer_index=1)
-    out = compensate(T.constant(feat), st, draw, CFG).values
+    out = compensate(T.constant(feat), st, draw).values
 
     u = st.instance_mean.values
     s = st.instance_std.values
@@ -85,15 +83,15 @@ def test_perturbation_is_zero_mean_over_draws():
     rng = np.random.default_rng(3)
     feat = random_feat(rng, shape=(3, 2, 2, 2), min_spread=0.2)
     st = layer_stats(T.constant(feat))
-    reference = compensate(T.constant(feat), st, zero_draw(3, 2), CFG).values
+    reference = compensate(T.constant(feat), st, zero_draw(3, 2)).values
 
     n_draws = 2000
     acc = np.zeros_like(feat)
     sq = np.zeros_like(feat)
     for i in range(n_draws):
-        draw = draw_perturbation(3, 2, "per-element", seed=11, epoch=0,
+        draw = draw_perturbation(3, 2, seed=11, epoch=0,
                                  batch_index=i, layer_index=1)
-        out = compensate(T.constant(feat), st, draw, CFG).values
+        out = compensate(T.constant(feat), st, draw).values
         acc += out
         sq += out * out
     mean = acc / n_draws
@@ -102,68 +100,45 @@ def test_perturbation_is_zero_mean_over_draws():
 
 
 def test_draws_reproduce_under_identical_keys():
-    a = draw_perturbation(8, 4, "per-element", seed=5, epoch=2,
+    a = draw_perturbation(8, 4, seed=5, epoch=2,
                           batch_index=3, layer_index=1)
-    b = draw_perturbation(8, 4, "per-element", seed=5, epoch=2,
+    b = draw_perturbation(8, 4, seed=5, epoch=2,
                           batch_index=3, layer_index=1)
     np.testing.assert_array_equal(a.eps_mean, b.eps_mean)
     np.testing.assert_array_equal(a.eps_std, b.eps_std)
-    c = draw_perturbation(8, 4, "per-element", seed=5, epoch=2,
+    c = draw_perturbation(8, 4, seed=5, epoch=2,
                           batch_index=3, layer_index=2)
     assert not np.array_equal(a.eps_mean, c.eps_mean)
-
-
-def test_shared_scalar_mode_uses_one_draw_for_both_terms():
-    draw = draw_perturbation(4, 3, "shared-scalar", seed=1, epoch=0,
-                             batch_index=0, layer_index=1)
-    assert np.shape(draw.eps_mean) == ()
-    assert draw.eps_mean is draw.eps_std
 
 
 def test_batch_permutation_equivariance():
     rng = np.random.default_rng(4)
     feat = random_feat(rng)
     perm = rng.permutation(4)
-    draw = draw_perturbation(4, 3, "per-element", seed=9, epoch=0,
+    draw = draw_perturbation(4, 3, seed=9, epoch=0,
                              batch_index=0, layer_index=1)
     out = compensate(T.constant(feat), layer_stats(T.constant(feat)),
-                     draw, CFG).values
+                     draw).values
     permuted_draw = PerturbationDraw(eps_mean=draw.eps_mean[perm],
-                                     eps_std=draw.eps_std[perm],
-                                     mode=draw.mode)
+                                     eps_std=draw.eps_std[perm])
     out_perm = compensate(T.constant(feat[perm]),
                           layer_stats(T.constant(feat[perm])),
-                          permuted_draw, CFG).values
+                          permuted_draw).values
     np.testing.assert_allclose(out[perm], out_perm, atol=1e-12)
 
 
 def test_gradient_through_compensation_matches_fd():
     rng = np.random.default_rng(5)
     feat = T.parameter(random_feat(rng, shape=(3, 2, 2, 2)))
-    draw = draw_perturbation(3, 2, "per-element", seed=13, epoch=0,
+    draw = draw_perturbation(3, 2, seed=13, epoch=0,
                              batch_index=0, layer_index=1)
     weights = rng.standard_normal(feat.shape)
 
     def f(ars):
-        out = compensate(ars[0], layer_stats(ars[0]), draw, CFG)
+        out = compensate(ars[0], layer_stats(ars[0]), draw)
         return T.total_sum(T.mul(out, T.constant(weights)))
 
     assert T.check_gradients(f, [feat]) < 1e-4
-
-
-def test_batch_stats_mode_recenters_by_batch_mean():
-    rng = np.random.default_rng(6)
-    feat = random_feat(rng)
-    st = layer_stats(T.constant(feat))
-    literal = CompensationConfig(enabled_layers=(1,), use_batch_stats=True)
-    out = compensate(T.constant(feat), st, zero_draw(4, 3), literal).values
-    mu = st.mean_of_means.values
-    sig = st.mean_of_stds.values
-    expect = (sig[None, :, None, None]
-              * (feat - mu[None, :, None, None])
-              / (sig[None, :, None, None] + EPS_DIV)
-              + mu[None, :, None, None])
-    np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def make_net():
@@ -175,9 +150,8 @@ def test_disabled_layers_match_plain_forward():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((5, 6))
     net = make_net()
-    off = CompensationConfig(enabled_layers=())
-    a = forward_with_compensation(T.constant(x), net, off, "train", 0, 0, 0)
-    b = forward_with_compensation(T.constant(x), net, CFG, "eval", 0, 0, 0)
+    a = forward_with_compensation(T.constant(x), net, (), "train", 0, 0, 0)
+    b = forward_with_compensation(T.constant(x), net, ALL, "eval", 0, 0, 0)
     assert a.values.tobytes() == b.values.tobytes()
 
 
@@ -185,7 +159,7 @@ def test_eval_mode_is_plain_forward_bitwise():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((4, 6))
     net = make_net()
-    a = forward_with_compensation(T.constant(x), net, CFG, "eval", 0, 0, 0)
+    a = forward_with_compensation(T.constant(x), net, ALL, "eval", 0, 0, 0)
 
     h = T.constant(x)
     for block in net.blocks:
@@ -198,8 +172,7 @@ def test_single_enabled_layer_matches_manual_composition():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 6))
     net = make_net()
-    one = CompensationConfig(enabled_layers=(2,))
-    out = forward_with_compensation(T.constant(x), net, one, "train",
+    out = forward_with_compensation(T.constant(x), net, (2,), "train",
                                     seed=17, epoch=1, batch_index=4)
 
     h = T.constant(x)
@@ -208,30 +181,18 @@ def test_single_enabled_layer_matches_manual_composition():
         if k == 2:
             st = layer_stats(feat)
             draw = draw_perturbation(feat.shape[0], feat.shape[1],
-                                     "per-element", seed=17, epoch=1,
+                                     seed=17, epoch=1,
                                      batch_index=4, layer_index=2)
-            feat = compensate(feat, st, draw, one)
+            feat = compensate(feat, st, draw)
         h = T.relu(feat)
     h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
     np.testing.assert_array_equal(out.values, h.values)
 
 
-def test_apply_in_eval_flag_turns_noise_on():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((4, 6))
-    net = make_net()
-    noisy_eval = CompensationConfig(enabled_layers=(1, 2),
-                                    apply_in_eval=True)
-    a = forward_with_compensation(T.constant(x), net, noisy_eval, "eval",
-                                  0, 0, 0)
-    b = forward_with_compensation(T.constant(x), net, CFG, "eval", 0, 0, 0)
-    assert not np.array_equal(a.values, b.values)
-
-
 def test_bad_mode_rejected():
     net = make_net()
     with pytest.raises(ContractError):
-        forward_with_compensation(T.constant(np.ones((2, 6))), net, CFG,
+        forward_with_compensation(T.constant(np.ones((2, 6))), net, ALL,
                                   "predict", 0, 0, 0)
 
 
@@ -240,4 +201,4 @@ def test_stats_shape_mismatch_rejected():
     feat = rng.standard_normal((4, 3, 2, 2))
     other = layer_stats(T.constant(rng.standard_normal((4, 5, 2, 2))))
     with pytest.raises(ShapeError):
-        compensate(T.constant(feat), other, zero_draw(4, 5), CFG)
+        compensate(T.constant(feat), other, zero_draw(4, 5))

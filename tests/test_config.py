@@ -29,8 +29,8 @@ def test_defaults_carry_published_hyperparameters():
 
 def test_echo_parse_round_trip_is_exact():
     cfg = TrainConfig(seed=7, lr=0.00123, epochs=17,
-                      compensation_mode="shared-scalar",
-                      mixup_weighting="precision", sampler="random")
+                      compensation_layers="2", hidden_grid="8x3x2",
+                      use_negative_branch=False)
     text = echo_config(cfg)
     back = parse_config_text(text)
     assert back == cfg
@@ -62,10 +62,10 @@ def test_malformed_line_is_an_error():
 
 def test_type_coercion_and_bool_words():
     cfg = parse_config_text(
-        "compensation = false\nmined_fraction_ramp = true\n"
-        "batch_size = 64\nlr = 2e-3\n")
+        "compensation = false\nuse_triplet_term = true\n"
+        "batch_size = 64\nlr = 2e-3\n", TrainConfig(use_triplet_term=False))
     assert cfg.compensation is False
-    assert cfg.mined_fraction_ramp is True
+    assert cfg.use_triplet_term is True
     assert cfg.batch_size == 64
     assert cfg.lr == 0.002
     with pytest.raises(ConfigError):
@@ -107,10 +107,6 @@ def test_validate_rejects_bad_values():
         {"hidden_grid": "axbxc"},
         {"compensation_layers": "0"},
         {"compensation_layers": "soup"},
-        {"compensation_mode": "banana"},
-        {"mixup_weighting": "entropy"},
-        {"uncertainty_score": "median"},
-        {"sampler": "stratified"},
     ]
     for kw in bad:
         with pytest.raises(ConfigError):
@@ -151,6 +147,9 @@ def test_readme_configuration_table_matches_config():
     rows = readme_config_rows()
     assert len(rows) >= 10
     names = {f.name for f in fields(TrainConfig)}
+    keys = [key for key, _, _ in rows]
+    assert len(keys) == len(set(keys)), "README documents a key twice"
+    assert set(keys) == names, "README table must list every config field"
     for key, default, values in rows:
         assert key in names, f"README documents unknown key {key!r}"
         documented = apply_overrides(TrainConfig(), {key: default})

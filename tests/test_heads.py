@@ -74,11 +74,8 @@ def test_uncertainty_score_mean_and_max():
     u = head_forward(net, T.constant(np.zeros((2, 16))),
                      np.zeros(2, dtype=np.int64))
     u.sigma.values[:] = [[1.0, 3.0] + [2.0] * 6, [4.0] * 8]
-    np.testing.assert_allclose(uncertainty_score(u, "mean"),
+    np.testing.assert_allclose(uncertainty_score(u),
                                [np.mean([1, 3] + [2] * 6), 4.0])
-    np.testing.assert_allclose(uncertainty_score(u, "max"), [3.0, 4.0])
-    with pytest.raises(ContractError):
-        uncertainty_score(u, "median")
 
 
 def test_score_ranking_matches_sort_oracle():
@@ -86,7 +83,7 @@ def test_score_ranking_matches_sort_oracle():
     net = make_net()
     u = head_forward(net, T.constant(rng.standard_normal((10, 16))),
                      np.zeros(10, dtype=np.int64))
-    scores = uncertainty_score(u, "mean")
+    scores = uncertainty_score(u)
     oracle = np.array([row.mean() for row in u.sigma.values])
     assert list(np.argsort(scores)) == list(np.argsort(oracle))
 

@@ -93,18 +93,6 @@ def test_mixup_matches_scalar_reference():
                                                                 abs=1e-12)
 
 
-def test_precision_weighting_prefers_confident_branches():
-    mu = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    sigma = np.array([[1.0, 1.0], [0.1, 0.1], [1.0, 1.0]])
-    u = batch_of(mu, sigma, [0, 0, 1])
-    plan = all_valid_plan([1, 0, 0], [2, 2, 1])
-    mixed = mixup(u, plan, weighting="precision")
-    # row 0 blends with the confident partner 1, which dominates under 1/sigma
-    assert mixed.w_pos.values[0, 0] > mixed.w_self.values[0, 0]
-    with pytest.raises(ContractError):
-        mixup(u, plan, weighting="entropy")
-
-
 def test_invalid_rows_degrade_to_identity():
     rng = np.random.default_rng(2)
     mu = rng.standard_normal((4, 3))

@@ -1,4 +1,4 @@
-"""Optimizer, samplers, training loop, and evaluation metrics."""
+"""Optimizer, batch sampler, training loop, and evaluation metrics."""
 
 import os
 
@@ -18,11 +18,9 @@ from uqtrain.training import (
     AblationFlags,
     Adam,
     balanced_batches,
-    effective_mined_fraction,
     evaluate,
     fit,
     make_batches,
-    random_batches,
     rejection_accuracies,
     run_experiment,
     train_step,
@@ -72,17 +70,6 @@ def test_adam_decay_only_scales_matrix_params():
     np.testing.assert_array_equal(b.values, np.full(3, 4.0))
 
 
-def test_adam_coupled_mode_puts_decay_in_gradient():
-    p1 = T.parameter(np.array([[2.0]]))
-    p1.grad = np.array([[0.0]])
-    coupled = Adam([("w", p1)], coupled=True)
-    coupled.step(lr=0.1, weight_decay=0.5)
-    # gradient becomes wd * p = 1.0, so the bias-corrected step is
-    # lr / (1 + eps); no multiplicative shrink afterwards
-    expect = 2.0 - 0.1 / (1.0 + 1e-8)
-    assert p1.values[0, 0] == pytest.approx(expect, abs=1e-12)
-
-
 def test_adam_lr_multiplier_scales_named_param_steps():
     a = T.parameter(np.array([[1.0]]))
     b = T.parameter(np.array([[1.0]]))
@@ -115,46 +102,15 @@ def test_batches_change_across_epochs_but_replay_within():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_random_batches_accept_degraded_chunks():
-    # a one-class dataset can never satisfy the two-class preference, so
-    # every chunk exhausts its resample budget and is accepted as-is
-    labels = np.zeros(20, dtype=np.int64)
-    batches = random_batches(labels, 4, seed=1, epoch=0)
-    assert len(batches) == 5
-    assert all(len(b) == 4 for b in batches)
-
-
 @pytest.mark.parametrize("n", [257, 2049])
-@pytest.mark.parametrize("sampler", ["balanced", "random"])
-def test_one_sample_tail_joins_previous_batch(n, sampler):
+def test_one_sample_tail_joins_previous_batch(n):
     ds = make_blobs(3, 4, n, 1.0, seed=n)
-    cfg = small_config(sampler=sampler, batch_size=128, epochs=1)
+    cfg = small_config(batch_size=128, epochs=1)
     batches = make_batches(ds.labels, cfg, 0)
     assert [len(b) for b in batches] == [128] * (n // 128 - 1) + [129]
-    if sampler == "balanced":
-        np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
-                                      np.arange(n))
+    np.testing.assert_array_equal(np.sort(np.concatenate(batches)),
+                                  np.arange(n))
     fit(build_vector_network(4, 3, 8, [(4, 2, 2)] * 2), ds, ds, cfg)
-
-
-def test_make_batches_respects_sampler_choice():
-    labels = np.array([0, 1] * 20)
-    cfg = small_config(sampler="random", batch_size=8)
-    a = make_batches(labels, cfg, 0)
-    cfg2 = small_config(sampler="balanced", batch_size=8)
-    b = make_batches(labels, cfg2, 0)
-    assert not all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def test_effective_mined_fraction_ramp():
-    cfg = small_config(epochs=10, mined_fraction=0.2,
-                       mined_fraction_ramp=True)
-    assert effective_mined_fraction(cfg, 0) == 0.0
-    assert effective_mined_fraction(cfg, 2) == pytest.approx(0.08)
-    assert effective_mined_fraction(cfg, 5) == pytest.approx(0.2)
-    assert effective_mined_fraction(cfg, 9) == pytest.approx(0.2)
-    cfg_fixed = small_config(epochs=10)
-    assert effective_mined_fraction(cfg_fixed, 0) == 0.2
 
 
 def test_train_step_lr_zero_freezes_parameters():
