@@ -8,12 +8,13 @@ under a minute; the direction of the result is the same.
 """
 
 import argparse
+from dataclasses import replace
 
 import numpy as np
 
 from uqtrain.config import TrainConfig
 from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
-from uqtrain.training import AblationFlags, run_experiment
+from uqtrain.training import run_experiment
 
 
 def main():
@@ -33,12 +34,14 @@ def main():
 
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
 
-    baseline = run_experiment(cfg, AblationFlags(False, False, False, False),
-                              noisy, test)
+    # the defaults are the full method; these four switches turn it off
+    plain_ce = replace(cfg, compensation=False, use_positive_branch=False,
+                       use_negative_branch=False, use_triplet_term=False)
+    baseline = run_experiment(plain_ce, noisy, test)
     print(f"plain cross-entropy baseline:  "
           f"test accuracy {baseline.report.accuracy:.4f}")
 
-    full = run_experiment(cfg, AblationFlags(), noisy, test)
+    full = run_experiment(cfg, noisy, test)
     print(f"full method:                   "
           f"test accuracy {full.report.accuracy:.4f}")
 

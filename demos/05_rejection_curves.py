@@ -12,8 +12,7 @@ import numpy as np
 
 from uqtrain.config import TrainConfig
 from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
-from uqtrain.training import (AblationFlags, evaluate, predict,
-                              run_experiment)
+from uqtrain.training import evaluate, predict, run_experiment
 
 
 def main():
@@ -29,7 +28,7 @@ def main():
     noisy = corrupt_labels(train, NoiseSpec(ratio=0.3, seed=args.seed))
 
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
-    result = run_experiment(cfg, AblationFlags(), noisy, test)
+    result = run_experiment(cfg, noisy, test)
 
     rates = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
     report = evaluate(result.net, test, cfg, rates=rates)

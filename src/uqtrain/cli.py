@@ -17,13 +17,12 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .config import TrainConfig, apply_overrides, load_config_file
 from .data import (
-    LabeledDataset,
     NoiseSpec,
     corrupt_labels,
     load_dataset,
@@ -42,8 +41,6 @@ from .errors import (
 from .heads import load_checkpoint
 from .training import (
     ABLATION_LADDER,
-    AblationFlags,
-    REJECTION_RATES,
     evaluate,
     predict,
     rejection_accuracies,
@@ -110,8 +107,8 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_ds, test_ds = _load_pair(cfg)
     os.makedirs(args.out, exist_ok=True)
-    result = run_experiment(cfg, None, train_ds, test_ds,
-                            out_dir=args.out, tag=args.tag)
+    result = run_experiment(cfg, train_ds, test_ds, out_dir=args.out,
+                            tag=args.tag)
     acc = result.report.accuracy
     print(f"final test accuracy: {acc:.4f}")
     print(f"artifacts in {args.out}/ (tag {args.tag})")
@@ -192,8 +189,8 @@ def cmd_ablate(args) -> int:
     train_ds, test_ds = _load_pair(cfg)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for tag, flags in ABLATION_LADDER:
-        result = run_experiment(cfg, flags, train_ds, test_ds,
+    for tag, overrides in ABLATION_LADDER:
+        result = run_experiment(replace(cfg, **overrides), train_ds, test_ds,
                                 out_dir=args.out, tag=tag)
         acc = result.report.accuracy
         rows.append((tag, acc))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .rng import STREAM_PERTURB, keyed_rng
 from .stats import layer_stats
 
@@ -48,16 +48,6 @@ def draw_perturbation(batch_size: int, channels: int, seed: int, epoch: int,
     return PerturbationDraw(eps_mean=eps_mean, eps_std=eps_std)
 
 
-def _as_bc11(x: T.DiffArray, b: int, c: int) -> T.DiffArray:
-    """Reshape a (B, C) or (C,) statistic so it broadcasts over (B, C, H, W)."""
-    if x.shape == (b, c):
-        return T.reshape(x, (b, c, 1, 1))
-    if x.shape == (c,):
-        return T.reshape(x, (1, c, 1, 1))
-    raise ShapeError(f"statistic shape {x.shape} does not match map "
-                     f"batch {b} / channels {c}")
-
-
 def compensate(feat: T.DiffArray, stats,
                draw: PerturbationDraw) -> T.DiffArray:
     """Apply one compensation step to a (B, C, H, W) map.
@@ -79,36 +69,33 @@ def compensate(feat: T.DiffArray, stats,
             f"map ({b}, {c})")
 
     center, scale = stats.instance_mean, stats.instance_std
+    bc11 = (b, c, 1, 1)   # (B, C) statistics broadcast over each map
 
     eps_m = T.constant(draw.eps_mean)
     eps_s = T.constant(draw.eps_std)
     jittered_scale = T.add(scale, T.mul(eps_s, stats.std_of_stds))
     jittered_shift = T.add(center, T.mul(eps_m, stats.std_of_means))
 
-    normalized = T.div(T.sub(feat, _as_bc11(center, b, c)),
-                       T.add(_as_bc11(scale, b, c), T.constant(EPS_DIV)))
-    return T.add(T.mul(_as_bc11(jittered_scale, b, c), normalized),
-                 _as_bc11(jittered_shift, b, c))
+    normalized = T.div(T.sub(feat, T.reshape(center, bc11)),
+                       T.add(T.reshape(scale, bc11), T.constant(EPS_DIV)))
+    return T.add(T.mul(T.reshape(jittered_scale, bc11), normalized),
+                 T.reshape(jittered_shift, bc11))
 
 
 def forward_with_compensation(x: T.DiffArray, net,
-                              enabled_layers: tuple[int, ...], mode: str,
-                              seed: int, epoch: int,
-                              batch_index: int) -> T.DiffArray:
+                              enabled_layers: tuple[int, ...], seed: int,
+                              epoch: int, batch_index: int) -> T.DiffArray:
     """Run a network's backbone, compensating the enabled layers.
 
-    enabled_layers holds 1-based block indices.  mode is "train" or
-    "eval".  In eval mode no statistics are computed and no noise is
-    drawn, so the result is bitwise identical to the plain forward pass.
-    Returns the flat (B, feature_dim) activations that feed the heads.
+    enabled_layers holds 1-based block indices.  Evaluation passes none:
+    then no statistics are computed and no noise is drawn, so the result
+    is bitwise identical to the plain forward pass.  Returns the flat
+    (B, feature_dim) activations that feed the heads.
     """
-    if mode not in ("train", "eval"):
-        raise ContractError(f"mode must be 'train' or 'eval', got {mode!r}")
-
     h = x
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
-        if mode == "train" and k in enabled_layers:
+        if k in enabled_layers:
             st = layer_stats(feat)
             bsz, ch = feat.shape[0], feat.shape[1]
             draw = draw_perturbation(bsz, ch, seed, epoch, batch_index, k)

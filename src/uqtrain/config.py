@@ -68,6 +68,12 @@ class TrainConfig:
             raise ConfigError("embed_dim must be positive")
         if self.num_blocks < 1:
             raise ConfigError("num_blocks must be at least 1")
+        for key in ("data_train", "data_test"):
+            path = getattr(self, key)
+            # the config echo must parse back to the same path
+            if "#" in path or path.splitlines() not in ([], [path]):
+                raise ConfigError(f"{key} must not hold '#' or a line "
+                                  f"break, got {path!r}")
         self.parse_grid()
         self.resolve_compensation_layers()
         return self

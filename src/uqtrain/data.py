@@ -21,6 +21,10 @@ from .rng import STREAM_DATA, keyed_rng
 # how many times center sampling may retry before giving up
 MAX_CENTER_ATTEMPTS = 1000
 
+# per-feature scale and shift ranges of shift_domain's affine distortions
+DOMAIN_SCALE_RANGE = (0.5, 2.0)
+DOMAIN_SHIFT_RANGE = (-1.0, 1.0)
+
 
 @dataclass
 class LabeledDataset:
@@ -53,9 +57,8 @@ class LabeledDataset:
 
 @dataclass
 class NoiseSpec:
-    """Label corruption request: kind, fraction of samples, seed."""
+    """Symmetric label flipping: fraction of samples, seed."""
 
-    kind: str = "symmetric-flip"
     ratio: float = 0.0
     seed: int = 0
 
@@ -106,8 +109,6 @@ def corrupt_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
 
     Returns a new dataset; clean_labels records the pre-flip truth.
     """
-    if spec.kind != "symmetric-flip":
-        raise ContractError(f"unknown noise kind {spec.kind!r}")
     if not 0.0 <= spec.ratio <= 1.0:
         raise ContractError(f"noise ratio must be in [0, 1], got {spec.ratio}")
     n = len(ds)
@@ -130,9 +131,8 @@ def corrupt_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
                           else ds.domain_id.copy())
 
 
-def shift_domain(ds: LabeledDataset, n_domains: int, seed: int,
-                 scale_range=(0.5, 2.0),
-                 shift_range=(-1.0, 1.0)) -> LabeledDataset:
+def shift_domain(ds: LabeledDataset, n_domains: int,
+                 seed: int) -> LabeledDataset:
     """Split samples round-robin into domains and give each domain its own
     per-feature affine distortion.  Labels are untouched."""
     if n_domains < 2:
@@ -142,8 +142,8 @@ def shift_domain(ds: LabeledDataset, n_domains: int, seed: int,
     domain_id = np.arange(n, dtype=np.int64) % n_domains
     features = ds.features.copy()
     for dom in range(n_domains):
-        scale = rng.uniform(scale_range[0], scale_range[1], size=d)
-        shift = rng.uniform(shift_range[0], shift_range[1], size=d)
+        scale = rng.uniform(*DOMAIN_SCALE_RANGE, size=d)
+        shift = rng.uniform(*DOMAIN_SHIFT_RANGE, size=d)
         rows = domain_id == dom
         features[rows] = features[rows] * scale + shift
     return LabeledDataset(features=features, labels=ds.labels.copy(),

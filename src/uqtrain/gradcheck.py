@@ -116,7 +116,7 @@ def end_to_end_case(seed: int):
 
     def objective(plan):
         feats = forward_with_compensation(T.constant(x), net, layers,
-                                          "train", seed, 0, 0)
+                                          seed, 0, 0)
         u = head_forward(net, feats, labels)
         mixed = mixup(u, plan)
         ce = ce_loss(mixed.features, net.classifier, labels, plan)
@@ -125,7 +125,7 @@ def end_to_end_case(seed: int):
 
     # freeze the plan at the base point
     feats = forward_with_compensation(T.constant(x), net, layers,
-                                      "train", seed, 0, 0)
+                                      seed, 0, 0)
     u = head_forward(net, feats, labels)
     plan = mine_triplets(u, p=0.5, seed=seed, epoch=0, batch_index=0)
 
@@ -133,10 +133,9 @@ def end_to_end_case(seed: int):
     return (lambda ars: objective(plan)), params
 
 
-def run_gradcheck(n_seeds: int = 3, verbose: bool = False,
-                  include_end_to_end: bool = True) -> list:
-    """Check every op (and optionally the full objective) on n_seeds
-    random draws.  Returns the list of failures as (case, seed, error)."""
+def run_gradcheck(n_seeds: int = 3, verbose: bool = False) -> list:
+    """Check every op and the full objective on n_seeds random draws.
+    Returns the list of failures as (case, seed, error)."""
     failures = []
     worst_overall = 0.0
     for seed in range(n_seeds):
@@ -147,14 +146,13 @@ def run_gradcheck(n_seeds: int = 3, verbose: bool = False,
                 failures.append((name, seed, err))
                 if verbose:
                     print(f"FAIL {name} seed {seed}: rel err {err:.3e}")
-        if include_end_to_end:
-            f, params = end_to_end_case(seed)
-            err = T.check_gradients(f, params, h=FD_STEP)
-            worst_overall = max(worst_overall, err)
-            if err >= REL_TOL:
-                failures.append(("end_to_end", seed, err))
-                if verbose:
-                    print(f"FAIL end_to_end seed {seed}: rel err {err:.3e}")
+        f, params = end_to_end_case(seed)
+        err = T.check_gradients(f, params, h=FD_STEP)
+        worst_overall = max(worst_overall, err)
+        if err >= REL_TOL:
+            failures.append(("end_to_end", seed, err))
+            if verbose:
+                print(f"FAIL end_to_end seed {seed}: rel err {err:.3e}")
     if verbose:
         print(f"checked {n_seeds} seed(s); worst rel err "
               f"{worst_overall:.3e} (tolerance {REL_TOL})")

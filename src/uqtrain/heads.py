@@ -72,14 +72,6 @@ class Network:
         self.classifier = classifier   # (num_classes, d), bias-free
         self.arch = dict(arch)
 
-    @property
-    def embed_dim(self) -> int:
-        return self.mean_w.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier.shape[0]
-
     def parameters(self) -> list[tuple[str, T.DiffArray]]:
         """Stable (name, array) listing; order is part of the format."""
         out = []
@@ -208,26 +200,34 @@ def save_checkpoint(net: Network, path: str, rng_state: dict | None = None):
 
 
 def load_checkpoint(path: str) -> tuple[Network, dict]:
-    """Rebuild a network bitwise-identically from save_checkpoint output."""
+    """Rebuild a network bitwise-identically from save_checkpoint output.
+    Any payload that does not rebuild raises DataFormatError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DataFormatError(f"cannot read checkpoint {path}: {e}") from e
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) \
+            or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path} is not a checkpoint file")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version "
                               f"{payload.get('version')}")
-    net = build_network_from_arch(payload["arch"])
-    params = payload["params"]
-    for name, arr in net.parameters():
-        if name not in params:
-            raise DataFormatError(f"checkpoint missing parameter {name}")
-        loaded = _decode(params[name])
-        if loaded.shape != arr.values.shape:
-            raise DataFormatError(
-                f"parameter {name}: shape {loaded.shape} does not match "
-                f"architecture {arr.values.shape}")
-        arr.values = loaded
+    try:
+        net = build_network_from_arch(payload["arch"])
+        params = payload["params"]
+        for name, arr in net.parameters():
+            if name not in params:
+                raise DataFormatError(f"checkpoint missing parameter {name}")
+            loaded = _decode(params[name])
+            if loaded.shape != arr.values.shape:
+                raise DataFormatError(
+                    f"parameter {name}: shape {loaded.shape} does not match "
+                    f"architecture {arr.values.shape}")
+            arr.values = loaded
+    # binascii.Error (bad base64) is a ValueError
+    except (AttributeError, ContractError, KeyError, TypeError,
+            ValueError) as e:
+        raise DataFormatError(f"malformed checkpoint {path}: "
+                              f"{type(e).__name__}: {e}") from e
     return net, payload.get("rng", {})

@@ -57,14 +57,11 @@ def pairwise_cosine_distances(mu: np.ndarray) -> np.ndarray:
 
 
 def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
-                  batch_index: int, mine_positives: bool = True,
-                  mine_negatives: bool = True) -> TripletPlan:
+                  batch_index: int) -> TripletPlan:
     """Build the triplet plan for one batch.
 
-    p in [0, 1] is the hard-mined fraction; floor(p * B) samples are
-    mined, the rest get seeded uniform label-respecting partners.  The
-    mine_* switches force the corresponding side to stay random even for
-    mined samples (used by ablations).
+    p in [0, 1] is the hard-mined fraction; floor(p * B) samples get both
+    hardest partners, the rest get seeded uniform label-respecting ones.
     """
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"mined fraction must be in [0, 1], got {p}")
@@ -96,14 +93,14 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
         if pos_cands.size == 0 or neg_cands.size == 0:
             valid_mask[i] = False
         if pos_cands.size:
-            if mined_mask[i] and mine_positives:
+            if mined_mask[i]:
                 # farthest same-label sample; np.argmax takes the first
                 # (lowest-index) maximum, which settles ties
                 pos_index[i] = pos_cands[np.argmax(dist[i, pos_cands])]
             else:
                 pos_index[i] = pos_cands[rng.integers(pos_cands.size)]
         if neg_cands.size:
-            if mined_mask[i] and mine_negatives:
+            if mined_mask[i]:
                 neg_index[i] = neg_cands[np.argmin(dist[i, neg_cands])]
             else:
                 neg_index[i] = neg_cands[rng.integers(neg_cands.size)]

@@ -114,7 +114,7 @@ def _record(out: DiffArray, inputs, backward) -> DiffArray:
     return out
 
 
-def backward(loss: DiffArray, tape: Tape | None = None) -> None:
+def backward(loss: DiffArray, tape: Tape) -> None:
     """Accumulate d loss / d leaf into .grad for everything on the tape.
 
     loss must be a scalar (shape ()).  Gradients from any previous sweep
@@ -125,10 +125,6 @@ def backward(loss: DiffArray, tape: Tape | None = None) -> None:
     if loss.values.shape != ():
         raise ContractError("backward needs a scalar loss, got shape "
                             f"{loss.values.shape}")
-    if tape is None:
-        tape = _active_tape()
-    if tape is None:
-        raise ContractError("backward needs a tape (none active, none given)")
 
     seen: dict[int, DiffArray] = {}
     for node in tape.nodes:

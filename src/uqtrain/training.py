@@ -7,7 +7,6 @@ defines.  Two runs with the same inputs produce bitwise identical
 checkpoints and metrics files.
 """
 
-import copy
 import csv
 import os
 from dataclasses import dataclass, field
@@ -114,10 +113,6 @@ def make_batches(labels, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
 # single training step
 
 
-def partners_active(cfg: TrainConfig) -> bool:
-    return cfg.use_positive_branch or cfg.use_negative_branch
-
-
 def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
                cfg: TrainConfig, opt: Adam, epoch: int,
                batch_index: int) -> LossBreakdown:
@@ -126,20 +121,16 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
     if x.shape[0] < 2:
         raise DegenerateBatch("training batches need at least 2 samples")
     layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
-    use_partners = partners_active(cfg)
 
     with T.Tape() as tape:
         feats = forward_with_compensation(
-            T.constant(x), net, layers, "train", cfg.seed, epoch,
-            batch_index)
+            T.constant(x), net, layers, cfg.seed, epoch, batch_index)
         u = head_forward(net, feats, labels)
 
         plan = None
-        if use_partners:
-            plan = mine_triplets(
-                u, cfg.mined_fraction, cfg.seed, epoch,
-                batch_index, mine_positives=cfg.use_positive_branch,
-                mine_negatives=cfg.use_negative_branch)
+        if cfg.use_positive_branch or cfg.use_negative_branch:
+            plan = mine_triplets(u, cfg.mined_fraction, cfg.seed, epoch,
+                                 batch_index)
 
         mixed = mixup(u, plan, include_pos=cfg.use_positive_branch,
                       include_neg=cfg.use_negative_branch)
@@ -185,7 +176,7 @@ class EvalReport:
 # cfg is unused; the benchmark's output check calls predict(net, x, cfg)
 def predict(net: Network, x: np.ndarray, cfg: TrainConfig):
     """Eval-mode forward: returns (predictions, uncertainty scores)."""
-    feats = forward_with_compensation(T.constant(x), net, (), "eval", 0, 0, 0)
+    feats = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
     u = head_forward(net, feats, np.zeros(x.shape[0], dtype=np.int64))
     logits = class_logits(net, u.mean).values
     preds = np.argmax(logits, axis=1)
@@ -295,48 +286,32 @@ def fit(net: Network, train_ds: LabeledDataset, test_ds: LabeledDataset,
     return TrainResult(net=net, report=test_report, history=history)
 
 
-@dataclass
-class AblationFlags:
-    """Which ingredients of the method are active.
-
-    compensation: statistic-perturbation layers in the backbone;
-    hard_positive / hard_negative: distance-mined partners (off means the
-    corresponding branch is removed from the blend and the loss);
-    triplet_term: the margin loss (needs both partner branches).
-    """
-
-    compensation: bool = True
-    hard_positive: bool = True
-    hard_negative: bool = True
-    triplet_term: bool = True
-
-    def apply(self, cfg: TrainConfig) -> TrainConfig:
-        cfg.compensation = self.compensation
-        cfg.use_positive_branch = self.hard_positive
-        cfg.use_negative_branch = self.hard_negative
-        cfg.use_triplet_term = self.triplet_term
-        return cfg
-
-
+# (tag, overrides): each variant sets the four TrainConfig fields that
+# switch the method's ingredients, the same keys as the `train` flags
 ABLATION_LADDER = [
-    ("baseline", AblationFlags(False, False, False, False)),
-    ("compensation", AblationFlags(True, False, False, False)),
-    ("compensation+pos", AblationFlags(True, True, False, False)),
-    ("compensation+neg", AblationFlags(True, False, True, False)),
-    ("compensation+pos+neg", AblationFlags(True, True, True, False)),
-    ("full", AblationFlags(True, True, True, True)),
+    ("baseline", dict(compensation=False, use_positive_branch=False,
+                      use_negative_branch=False, use_triplet_term=False)),
+    ("compensation", dict(compensation=True, use_positive_branch=False,
+                          use_negative_branch=False, use_triplet_term=False)),
+    ("compensation+pos", dict(compensation=True, use_positive_branch=True,
+                              use_negative_branch=False,
+                              use_triplet_term=False)),
+    ("compensation+neg", dict(compensation=True, use_positive_branch=False,
+                              use_negative_branch=True,
+                              use_triplet_term=False)),
+    ("compensation+pos+neg", dict(compensation=True, use_positive_branch=True,
+                                  use_negative_branch=True,
+                                  use_triplet_term=False)),
+    ("full", dict(compensation=True, use_positive_branch=True,
+                  use_negative_branch=True, use_triplet_term=True)),
 ]
 
 
-def run_experiment(cfg: TrainConfig, flags: AblationFlags | None,
-                   train_ds: LabeledDataset, test_ds: LabeledDataset,
-                   out_dir: str | None = None,
+def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
+                   test_ds: LabeledDataset, out_dir: str | None = None,
                    tag: str = "run") -> TrainResult:
-    """Train one variant end to end; optionally write its artifacts
+    """Train one config end to end; optionally write its artifacts
     (metrics CSV, config echo, checkpoint) under out_dir."""
-    cfg = copy.deepcopy(cfg)
-    if flags is not None:
-        flags.apply(cfg)
     cfg.validate()
 
     grid = cfg.parse_grid()

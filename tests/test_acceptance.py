@@ -7,8 +7,8 @@ flipped train labels, 5 seeds) plus the clean counterpart.
 """
 
 import os
-import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from uqtrain.heads import UncertainBatch
 from uqtrain.losses import ce_loss, mixup, total_loss, triplet_loss
 from uqtrain.mining import TripletPlan, mine_triplets
 from uqtrain.stats import layer_stats
-from uqtrain.training import AblationFlags, run_experiment
+from uqtrain.training import ABLATION_LADDER, run_experiment
 
 RATES = (0.0, 0.1, 0.2, 0.3)
 
@@ -316,9 +316,9 @@ def desk_data(seed: int, noise_ratio: float):
     return train, test
 
 
-FULL = AblationFlags()
-COMP_ONLY = AblationFlags(True, False, False, False)
-BASELINE = AblationFlags(False, False, False, False)
+FULL = dict(ABLATION_LADDER)["full"]
+COMP_ONLY = dict(ABLATION_LADDER)["compensation"]
+BASELINE = dict(ABLATION_LADDER)["baseline"]
 
 
 @pytest.fixture(scope="module")
@@ -330,19 +330,19 @@ def experiment():
     for seed in range(5):
         cfg = TrainConfig(seed=seed)
         train_n, test = desk_data(seed, 0.3)
-        full = run_experiment(cfg, FULL, train_n, test)
+        full = run_experiment(replace(cfg, **FULL), train_n, test)
         acc["full"].append(full.report.accuracy)
         curves.append([full.report.accuracy_by_rejection[r] for r in RATES])
-        acc["comp"].append(
-            run_experiment(cfg, COMP_ONLY, train_n, test).report.accuracy)
-        acc["base"].append(
-            run_experiment(cfg, BASELINE, train_n, test).report.accuracy)
+        acc["comp"].append(run_experiment(
+            replace(cfg, **COMP_ONLY), train_n, test).report.accuracy)
+        acc["base"].append(run_experiment(
+            replace(cfg, **BASELINE), train_n, test).report.accuracy)
 
         train_c, test_c = desk_data(seed, 0.0)
-        acc["full_clean"].append(
-            run_experiment(cfg, FULL, train_c, test_c).report.accuracy)
-        acc["base_clean"].append(
-            run_experiment(cfg, BASELINE, train_c, test_c).report.accuracy)
+        acc["full_clean"].append(run_experiment(
+            replace(cfg, **FULL), train_c, test_c).report.accuracy)
+        acc["base_clean"].append(run_experiment(
+            replace(cfg, **BASELINE), train_c, test_c).report.accuracy)
     return {"mean": {k: float(np.mean(v)) for k, v in acc.items()},
             "curve": np.mean(np.array(curves), axis=0),
             "elapsed": time.perf_counter() - t0}

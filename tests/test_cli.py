@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface, run in-process."""
 
+import base64
+import json
 import os
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 
 from uqtrain.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from uqtrain.data import load_dataset
-from uqtrain.heads import load_checkpoint
+from uqtrain.heads import (build_vector_network, load_checkpoint,
+                           save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +201,21 @@ def test_ablate_writes_ladder_table(data_dir, tmp_path, capsys):
     assert names == ["baseline", "compensation", "compensation+pos",
                      "compensation+neg", "compensation+pos+neg", "full"]
 
+    # a ladder entry means exactly its four `train` flags
+    switches_off = ["--compensation", "false", "--use-positive-branch",
+                    "false", "--use-negative-branch", "false",
+                    "--use-triplet-term", "false"]
+    for tag, flags in (("full", []), ("baseline", switches_off)):
+        run = os.path.join(tmp_path, tag)
+        assert main(["train", "--out", run] + fast_args(data_dir)
+                    + flags) == EXIT_OK
+        for suffix in ("checkpoint.json", "metrics.csv", "config.txt"):
+            with open(os.path.join(run, f"run_{suffix}"), "rb") as fa:
+                a = fa.read()
+            with open(os.path.join(out, f"{tag}_{suffix}"), "rb") as fb:
+                b = fb.read()
+            assert a == b, (tag, suffix)
+
 
 def test_bad_config_key_exits_2(data_dir, tmp_path, capsys):
     bad = os.path.join(tmp_path, "bad.cfg")
@@ -238,3 +256,44 @@ def test_missing_checkpoint_exits_4(data_dir, capsys):
     code = main(["eval", "--checkpoint", "/nonexistent/ck.json",
                  "--data", data_dir["test"]])
     assert code == EXIT_IO
+
+
+def _list_payload(blob):
+    return [blob]
+
+
+def _no_arch(blob):
+    del blob["arch"]
+    return blob
+
+
+def _arch_without_embed_dim(blob):
+    del blob["arch"]["embed_dim"]
+    return blob
+
+
+def _non_base64_data(blob):
+    blob["params"]["classifier"]["data"] = "not base64"
+    return blob
+
+
+def _truncated_buffer(blob):
+    entry = blob["params"]["classifier"]
+    raw = base64.b64decode(entry["data"])
+    entry["data"] = base64.b64encode(raw[:-3]).decode("ascii")
+    return blob
+
+
+@pytest.mark.parametrize("corrupt", [
+    _list_payload, _no_arch, _arch_without_embed_dim, _non_base64_data,
+    _truncated_buffer], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_checkpoint_exits_4(data_dir, tmp_path, capsys, corrupt):
+    path = os.path.join(tmp_path, "ck.json")
+    save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)] * 2), path)
+    with open(path) as f:
+        blob = json.load(f)
+    with open(path, "w") as f:
+        json.dump(corrupt(blob), f)
+    code = main(["eval", "--checkpoint", path, "--data", data_dir["test"]])
+    assert code == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err

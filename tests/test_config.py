@@ -107,9 +107,11 @@ def test_validate_rejects_bad_values():
         {"hidden_grid": "axbxc"},
         {"compensation_layers": "0"},
         {"compensation_layers": "soup"},
+        {"data_train": "h#1/tr.csv"},
+        {"data_test": "runs/\nte.csv"},
     ]
     for kw in bad:
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
             TrainConfig(**kw).validate()
 
 

@@ -92,9 +92,6 @@ def test_corrupt_rejects_bad_spec():
     ds = make_blobs(3, 4, 30, 1.0, seed=9)
     with pytest.raises(ContractError):
         corrupt_labels(ds, NoiseSpec(ratio=1.5, seed=0))
-    with pytest.raises(ContractError):
-        corrupt_labels(ds, NoiseSpec(kind="outlier-inject", ratio=0.1,
-                                     seed=0))
 
 
 def test_corruption_is_seed_deterministic():

@@ -1,6 +1,7 @@
 """Optimizer, batch sampler, training loop, and evaluation metrics."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from uqtrain.mining import TripletPlan
 from uqtrain.training import (
     ABLATION_LADDER,
     METRICS_COLUMNS,
-    AblationFlags,
     Adam,
     balanced_batches,
     evaluate,
@@ -182,8 +182,8 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
 def test_three_epoch_replay_is_bitwise_identical():
     train, test = small_data(seed=1)
     cfg = small_config(epochs=3)
-    a = run_experiment(cfg, None, train, test)
-    b = run_experiment(cfg, None, train, test)
+    a = run_experiment(cfg, train, test)
+    b = run_experiment(cfg, train, test)
     for (name, pa), (_, pb) in zip(a.net.parameters(), b.net.parameters()):
         assert pa.values.tobytes() == pb.values.tobytes(), name
     assert a.history == b.history
@@ -193,7 +193,7 @@ def test_loss_stays_finite_across_twenty_seeds():
     for seed in range(20):
         train, test = small_data(seed=seed, n=72)
         cfg = small_config(seed=seed, epochs=1)
-        result = run_experiment(cfg, None, train, test)
+        result = run_experiment(cfg, train, test)
         for row in result.history:
             assert np.isfinite(row["loss_total"])
             assert np.isfinite(row["loss_ce"])
@@ -242,7 +242,7 @@ def test_rejection_empty_retained_set_is_an_error():
 def test_evaluate_report_structure():
     train, test = small_data(seed=2)
     cfg = small_config(epochs=1)
-    result = run_experiment(cfg, None, train, test)
+    result = run_experiment(cfg, train, test)
     report = evaluate(result.net, test, cfg)
     assert set(report.accuracy_by_rejection) == {0.0, 0.1, 0.2, 0.3}
     assert 0.0 <= report.accuracy <= 1.0
@@ -254,7 +254,7 @@ def test_evaluate_report_structure():
 def test_metrics_csv_format(tmp_path):
     train, test = small_data(seed=3)
     cfg = small_config(epochs=2)
-    result = run_experiment(cfg, None, train, test)
+    result = run_experiment(cfg, train, test)
     path = os.path.join(tmp_path, "metrics.csv")
     write_metrics_csv(result.history, path)
     with open(path) as f:
@@ -269,31 +269,31 @@ def test_metrics_csv_format(tmp_path):
 def test_run_experiment_writes_artifacts(tmp_path):
     train, test = small_data(seed=4)
     cfg = small_config(epochs=1)
-    run_experiment(cfg, AblationFlags(), train, test,
-                   out_dir=str(tmp_path), tag="demo")
+    run_experiment(cfg, train, test, out_dir=str(tmp_path), tag="demo")
     for suffix in ("metrics.csv", "config.txt", "checkpoint.json"):
         assert os.path.exists(os.path.join(tmp_path, f"demo_{suffix}"))
 
 
-def test_ablation_flags_map_onto_config():
-    cfg = small_config()
-    AblationFlags(False, True, False, True).apply(cfg)
-    assert cfg.compensation is False
-    assert cfg.use_positive_branch is True
-    assert cfg.use_negative_branch is False
-    assert cfg.use_triplet_term is True
+SWITCHES = {"compensation", "use_positive_branch", "use_negative_branch",
+            "use_triplet_term"}
+
+
+def test_ablation_overrides_map_onto_config():
+    """Every ladder entry sets exactly the four ingredient switches, so a
+    variant never inherits one from the config it is applied to."""
+    for tag, overrides in ABLATION_LADDER:
+        assert set(overrides) == SWITCHES, tag
+        # replace() raises TypeError on a key that is not a field
+        cfg = replace(small_config(), **overrides)
+        assert {k: getattr(cfg, k) for k in overrides} == overrides, tag
 
 
 def test_ablation_ladder_covers_baseline_to_full():
     names = [name for name, _ in ABLATION_LADDER]
     assert names[0] == "baseline"
     assert names[-1] == "full"
-    base = ABLATION_LADDER[0][1]
-    assert not (base.compensation or base.hard_positive
-                or base.hard_negative or base.triplet_term)
-    full = ABLATION_LADDER[-1][1]
-    assert (full.compensation and full.hard_positive
-            and full.hard_negative and full.triplet_term)
+    assert not any(ABLATION_LADDER[0][1].values())
+    assert all(ABLATION_LADDER[-1][1].values())
 
 
 def test_fit_trains_above_chance_on_clean_blobs():
