@@ -129,9 +129,20 @@ def _report_rows(report) -> list:
     return rows
 
 
-def cmd_eval(args) -> int:
+def _load_scored(args):
+    """The checkpoint and the dataset it scores, of matching widths."""
     net, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
+    width = net.arch["input_dim"]
+    if ds.features.shape[1] != width:
+        raise DataFormatError(f"{args.data} has {ds.features.shape[1]} "
+                              f"feature columns, checkpoint "
+                              f"{args.checkpoint} takes {width}")
+    return net, ds
+
+
+def cmd_eval(args) -> int:
+    net, ds = _load_scored(args)
     report = evaluate(net, ds, TrainConfig())
     rows = _report_rows(report)
     for name, value in rows:
@@ -148,8 +159,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reject_curve(args) -> int:
-    net, _ = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data)
+    net, ds = _load_scored(args)
     try:
         rates = sorted(float(r) for r in args.rates.split(","))
     except ValueError:

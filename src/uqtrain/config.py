@@ -10,6 +10,7 @@ config bitwise.
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .files import atomic_open
 
 BOOL_WORDS = {"true": True, "false": False}
 
@@ -71,9 +72,11 @@ class TrainConfig:
         for key in ("data_train", "data_test"):
             path = getattr(self, key)
             # the config echo must parse back to the same path
-            if "#" in path or path.splitlines() not in ([], [path]):
-                raise ConfigError(f"{key} must not hold '#' or a line "
-                                  f"break, got {path!r}")
+            if "#" in path or path.splitlines() not in ([], [path]) \
+                    or path != path.strip():
+                raise ConfigError(f"{key} must not hold '#', a line break "
+                                  f"or leading or trailing blanks, got "
+                                  f"{path!r}")
         self.parse_grid()
         self.resolve_compensation_layers()
         return self
@@ -182,5 +185,5 @@ def echo_config(cfg: TrainConfig) -> str:
 
 
 def write_config_echo(cfg: TrainConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         fh.write(echo_config(cfg))

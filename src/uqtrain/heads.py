@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DataFormatError, ShapeError
+from .files import atomic_open
 from .rng import STREAM_INIT, keyed_rng
 
 # additive floor keeping every predicted sigma strictly positive
@@ -185,7 +186,8 @@ def _decode(entry: dict) -> np.ndarray:
 
 
 def save_checkpoint(net: Network, path: str, rng_state: dict | None = None):
-    """Write the network (and optional trainer state) as one JSON file."""
+    """Write the network (and optional trainer state) as one JSON file,
+    atomically: an interrupted write leaves the previous file."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -194,7 +196,7 @@ def save_checkpoint(net: Network, path: str, rng_state: dict | None = None):
                    for name, arr in net.parameters()},
         "rng": rng_state or {},
     }
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, encoding="ascii") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -7,6 +7,10 @@ sample of a different label as negative.  The rest of the batch gets
 uniformly drawn label-respecting partners, which keeps early training
 easy and lets the hard pairs take over as p says.
 
+Only the mined rows get distances, and every partner is picked with
+array operations over the batch's label masks: one masked arg-extremum
+for the mined rows, one draw call for all the random ones.
+
 Selection works on detached values; gradients enter later through the
 gathered embeddings, not through the argmax itself.
 """
@@ -39,21 +43,30 @@ class TripletPlan:
     valid_mask: np.ndarray  # (B,) bool
 
 
-def pairwise_cosine_distances(mu: np.ndarray) -> np.ndarray:
-    """All-pairs cosine distances of the rows of (B, d).
+def pairwise_cosine_distances(mu: np.ndarray, rows=None) -> np.ndarray:
+    """Cosine distances from the query rows of (B, d) to all B rows.
 
-    The dot products are reduced element by element rather than through a
-    blocked matrix multiply: identical rows then produce bitwise-identical
-    distances, so ties between duplicated embeddings resolve by index
-    order at any scale of mu.
+    rows indexes the query rows (all of them when omitted), so the
+    result is (len(rows), B) and equals those rows of the full matrix bit
+    for bit.  The dot products are reduced element by element rather than
+    through a blocked matrix multiply: identical rows then produce
+    bitwise-identical distances, so ties between duplicated embeddings
+    resolve by index order at any scale of mu.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 2:
         raise ShapeError(f"need a 2-d embedding matrix, got {mu.shape}")
+    if rows is None:
+        rows = np.arange(mu.shape[0])
     norms = np.sqrt(np.sum(mu ** 2, axis=1))
-    den = np.outer(norms, norms) + EPS_NORM
-    dots = np.sum(mu[:, None, :] * mu[None, :, :], axis=2)
+    den = np.outer(norms[rows], norms) + EPS_NORM
+    dots = np.sum(mu[rows][:, None, :] * mu[None, :, :], axis=2)
     return 1.0 - dots / den
+
+
+def _kth_true(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Column of the k[r]-th (0-based) True entry in each row of mask."""
+    return np.argmax(np.cumsum(mask, axis=1) > k[:, None], axis=1)
 
 
 def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
@@ -61,7 +74,11 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
     """Build the triplet plan for one batch.
 
     p in [0, 1] is the hard-mined fraction; floor(p * B) samples get both
-    hardest partners, the rest get seeded uniform label-respecting ones.
+    hardest partners from their distance rows (the only rows computed),
+    the rest get seeded uniform label-respecting ones from a single draw
+    call, in row order, positive before negative, as a per-row loop would
+    draw them.  A row without a same-label or a different-label partner
+    is invalid and keeps itself as the missing partner.
     """
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"mined fraction must be in [0, 1], got {p}")
@@ -73,10 +90,14 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} does not match "
                          f"batch {b}")
+    if mu.ndim != 2:
+        raise ShapeError(f"need a 2-d embedding matrix, got {mu.shape}")
 
-    dist = pairwise_cosine_distances(mu)
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(b, dtype=bool)
+    pos_mask = same & ~np.eye(b, dtype=bool)
+    neg_mask = ~same
+    n_pos = pos_mask.sum(axis=1)
+    n_neg = neg_mask.sum(axis=1)
 
     rng = keyed_rng(seed, STREAM_MINE, epoch, batch_index)
     n_mined = int(np.floor(p * b))
@@ -85,27 +106,29 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
 
     pos_index = np.arange(b, dtype=np.int64)
     neg_index = np.arange(b, dtype=np.int64)
-    valid_mask = np.ones(b, dtype=bool)
+    valid_mask = (n_pos > 0) & (n_neg > 0)
 
-    for i in range(b):
-        pos_cands = np.flatnonzero(same[i] & ~eye[i])
-        neg_cands = np.flatnonzero(~same[i])
-        if pos_cands.size == 0 or neg_cands.size == 0:
-            valid_mask[i] = False
-        if pos_cands.size:
-            if mined_mask[i]:
-                # farthest same-label sample; np.argmax takes the first
-                # (lowest-index) maximum, which settles ties
-                pos_index[i] = pos_cands[np.argmax(dist[i, pos_cands])]
-            else:
-                pos_index[i] = pos_cands[rng.integers(pos_cands.size)]
-        if neg_cands.size:
-            if mined_mask[i]:
-                neg_index[i] = neg_cands[np.argmin(dist[i, neg_cands])]
-            else:
-                neg_index[i] = neg_cands[rng.integers(neg_cands.size)]
-        else:
-            neg_index[i] = i
+    mined = np.flatnonzero(mined_mask)
+    if mined.size:
+        dist = pairwise_cosine_distances(mu, mined)
+        # np.argmax / np.argmin take the first (lowest-index) extremum,
+        # which settles ties; the fills never beat a candidate
+        far = np.argmax(np.where(pos_mask[mined], dist, -np.inf), axis=1)
+        near = np.argmin(np.where(neg_mask[mined], dist, np.inf), axis=1)
+        pos_index[mined] = np.where(n_pos[mined] > 0, far, mined)
+        neg_index[mined] = np.where(n_neg[mined] > 0, near, mined)
+
+    rest = np.flatnonzero(~mined_mask)
+    counts = np.stack([n_pos[rest], n_neg[rest]], axis=1)
+    drawn = counts > 0
+    picks = np.zeros_like(counts)
+    # boolean indexing reads (row, side) in C order: row by row, positive
+    # before negative, the order of the draws; a zero count draws nothing
+    picks[drawn] = rng.integers(counts[drawn])
+    for side, mask, index in ((0, pos_mask, pos_index),
+                              (1, neg_mask, neg_index)):
+        rows = rest[drawn[:, side]]
+        index[rows] = _kth_true(mask[rows], picks[drawn[:, side], side])
 
     return TripletPlan(pos_index=pos_index, neg_index=neg_index,
                        mined_mask=mined_mask, valid_mask=valid_mask)

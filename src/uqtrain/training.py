@@ -17,7 +17,13 @@ from . import tensor as T
 from .compensation import forward_with_compensation
 from .config import TrainConfig, write_config_echo
 from .data import LabeledDataset
-from .errors import ContractError, DegenerateBatch, NumericalDivergence
+from .errors import (
+    ContractError,
+    DataFormatError,
+    DegenerateBatch,
+    NumericalDivergence,
+)
+from .files import atomic_open
 from .heads import (
     Network,
     build_vector_network,
@@ -254,7 +260,7 @@ def _metrics_row(epoch, step, breakdown, train_acc, report) -> dict:
 
 def write_metrics_csv(rows: list, path: str) -> None:
     """Fixed column order, repr floats: bitwise reproducible output."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with atomic_open(path, encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for row in rows:
@@ -313,6 +319,10 @@ def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
     """Train one config end to end; optionally write its artifacts
     (metrics CSV, config echo, checkpoint) under out_dir."""
     cfg.validate()
+    width, test_width = train_ds.features.shape[1], test_ds.features.shape[1]
+    if width != test_width:
+        raise DataFormatError(f"test data has {test_width} feature columns, "
+                              f"train data has {width}")
 
     grid = cfg.parse_grid()
     net = build_vector_network(train_ds.features.shape[1],

@@ -297,3 +297,29 @@ def test_malformed_checkpoint_exits_4(data_dir, tmp_path, capsys, corrupt):
     code = main(["eval", "--checkpoint", path, "--data", data_dir["test"]])
     assert code == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "reject-curve"])
+def test_feature_width_mismatch_exits_4(data_dir, tmp_path, capsys,
+                                        command):
+    """Data one column narrower than the train data (train) or than the
+    checkpoint's input (eval, reject-curve) fails before any work."""
+    narrow = os.path.join(tmp_path, "narrow.csv")
+    assert main(["synth", "--train-out", narrow,
+                 "--test-out", os.path.join(tmp_path, "unused.csv"),
+                 "--classes", "3", "--features", "5", "--train-size", "30",
+                 "--test-size", "15"]) == EXIT_OK
+    capsys.readouterr()
+    if command == "train":
+        args = ["train", "--out", os.path.join(tmp_path, "x")] \
+            + fast_args(dict(data_dir, test=narrow))
+    else:
+        ck = os.path.join(tmp_path, "ck.json")
+        save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)] * 2), ck)
+        args = [command, "--checkpoint", ck, "--data", narrow]
+    assert main(args) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "i/o error" in captured.err
+    assert "5 feature columns" in captured.err and "6" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(os.path.join(tmp_path, "x", "run_metrics.csv"))

@@ -109,6 +109,8 @@ def test_validate_rejects_bad_values():
         {"compensation_layers": "soup"},
         {"data_train": "h#1/tr.csv"},
         {"data_test": "runs/\nte.csv"},
+        {"data_train": " tr.csv"},
+        {"data_test": "te.csv "},
     ]
     for kw in bad:
         with pytest.raises(ConfigError, match=next(iter(kw))):

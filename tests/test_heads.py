@@ -123,6 +123,27 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert fa.read() == fb.read()
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path,
+                                                     monkeypatch):
+    """A write that dies half way leaves the old checkpoint's bytes and
+    no temp file."""
+    path = os.path.join(tmp_path, "ck.json")
+    save_checkpoint(make_net(seed=1), path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(make_net(seed=2), path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["ck.json"]
+
+
 def test_checkpoint_rebuilds_from_arch(tmp_path):
     net = build_vector_network(5, 3, embed_dim=4,
                                grids=((2, 2, 3), (5, 2, 2), (3, 3, 1)),

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import uqtrain.mining as mining
 import uqtrain.tensor as T
 from uqtrain.errors import ContractError, DegenerateBatch
 from uqtrain.heads import UncertainBatch
-from uqtrain.mining import mine_triplets, pairwise_cosine_distances
+from uqtrain.mining import (TripletPlan, mine_triplets,
+                            pairwise_cosine_distances)
+from uqtrain.rng import STREAM_MINE, keyed_rng
 
 EPS_NORM = 1e-12
 
@@ -182,3 +185,114 @@ def test_contract_errors():
     u2 = batch_of([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ContractError):
         mine_triplets(u2, 1.5, 0, 0, 0)
+
+
+def reference_plan(u, p, seed, epoch, batch_index):
+    """The per-row loop mine_triplets replaced: full distance matrix, one
+    flatnonzero and one draw per side and row.  Kept as the bitwise
+    reference for partner choice and draw order."""
+    mu = u.mean.values
+    labels = u.labels
+    b = mu.shape[0]
+    dist = pairwise_cosine_distances(mu)
+    same = labels[:, None] == labels[None, :]
+    eye = np.eye(b, dtype=bool)
+    rng = keyed_rng(seed, STREAM_MINE, epoch, batch_index)
+    mined_mask = np.zeros(b, dtype=bool)
+    mined_mask[rng.choice(b, size=int(np.floor(p * b)), replace=False)] = True
+    pos_index = np.arange(b, dtype=np.int64)
+    neg_index = np.arange(b, dtype=np.int64)
+    valid_mask = np.ones(b, dtype=bool)
+    for i in range(b):
+        pos_cands = np.flatnonzero(same[i] & ~eye[i])
+        neg_cands = np.flatnonzero(~same[i])
+        if pos_cands.size == 0 or neg_cands.size == 0:
+            valid_mask[i] = False
+        if pos_cands.size:
+            if mined_mask[i]:
+                pos_index[i] = pos_cands[np.argmax(dist[i, pos_cands])]
+            else:
+                pos_index[i] = pos_cands[rng.integers(pos_cands.size)]
+        if neg_cands.size:
+            if mined_mask[i]:
+                neg_index[i] = neg_cands[np.argmin(dist[i, neg_cands])]
+            else:
+                neg_index[i] = neg_cands[rng.integers(neg_cands.size)]
+    return TripletPlan(pos_index=pos_index, neg_index=neg_index,
+                       mined_mask=mined_mask, valid_mask=valid_mask)
+
+
+def random_batch(rng):
+    """Sizes 2..200, widths 1..70, 1..5 classes, with duplicated rows and
+    an all-zero row mixed in."""
+    b = int(rng.integers(2, 201))
+    d = int(rng.integers(1, 71))
+    k = int(rng.integers(1, 6))
+    mu = rng.standard_normal((b, d)) * 10.0 ** rng.integers(-3, 4)
+    labels = rng.integers(0, k, size=b)
+    if rng.random() < 0.5:
+        for _ in range(int(rng.integers(1, 4))):
+            mu[rng.integers(b)] = mu[rng.integers(b)]
+    if rng.random() < 0.3:
+        mu[rng.integers(b)] = 0.0
+    return mu, labels
+
+
+def test_plans_match_per_row_reference_bitwise():
+    rng = np.random.default_rng(11)
+    fractions = [0.0, 0.2, 0.5, 1.0, None]
+    singles = singletons = 0
+    for trial in range(320):
+        mu, labels = random_batch(rng)
+        p = fractions[trial % 5]
+        p = float(rng.random()) if p is None else p
+        u = batch_of(mu, labels)
+        got = mine_triplets(u, p, seed=trial, epoch=3, batch_index=trial % 7)
+        want = reference_plan(u, p, seed=trial, epoch=3,
+                              batch_index=trial % 7)
+        for name in ("pos_index", "neg_index", "mined_mask", "valid_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, (trial, name)
+            np.testing.assert_array_equal(a, b, err_msg=f"{trial} {name}")
+        counts = np.bincount(labels)
+        singles += len(np.unique(labels)) == 1
+        singletons += bool(np.any(counts == 1))
+    # the draw covered the degenerate label layouts
+    assert singles > 0 and singletons > 0
+
+
+def test_subset_distances_equal_rows_of_full_matrix():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        mu, _ = random_batch(rng)
+        full = pairwise_cosine_distances(mu)
+        rows = np.flatnonzero(rng.random(len(mu)) < 0.3)
+        part = pairwise_cosine_distances(mu, rows)
+        assert part.shape == (len(rows), len(mu))
+        np.testing.assert_array_equal(part, full[rows])
+
+
+def test_distances_go_through_the_module_for_mined_rows_only(monkeypatch):
+    """The distance layer is looked up on the module at call time (a
+    wrapper installed there sees every call), once per mined batch, with
+    exactly the mined rows, and never when floor(p * B) is zero."""
+    calls = []
+    real = mining.pairwise_cosine_distances
+
+    def spy(mu, rows=None):
+        calls.append(None if rows is None else np.array(rows))
+        return real(mu, rows)
+
+    monkeypatch.setattr(mining, "pairwise_cosine_distances", spy)
+    rng = np.random.default_rng(13)
+    mu = rng.standard_normal((20, 4))
+    labels = rng.integers(0, 3, size=20)
+    plan = mine_triplets(batch_of(mu, labels), 0.25, 0, 0, 0)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0],
+                                  np.flatnonzero(plan.mined_mask))
+    assert len(calls[0]) == 5
+    calls.clear()
+    for p in (0.0, 0.04):
+        mine_triplets(batch_of(mu, labels), p, 0, 0, 0)
+    assert calls == []

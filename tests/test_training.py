@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import uqtrain.tensor as T
-from uqtrain import training
+from uqtrain import config, training
 from uqtrain.config import TrainConfig
 from uqtrain.data import make_blobs, split_dataset
-from uqtrain.errors import ContractError, DegenerateBatch
+from uqtrain.errors import ContractError, DataFormatError, DegenerateBatch
 from uqtrain.heads import build_vector_network
 from uqtrain.mining import TripletPlan
 from uqtrain.training import (
@@ -264,6 +264,45 @@ def test_metrics_csv_format(tmp_path):
     row = lines[1].split(",")
     assert len(row) == len(METRICS_COLUMNS)
     assert "." in row[2]              # float fields use decimal dots
+
+
+def test_failed_metrics_and_echo_writes_keep_previous_files(tmp_path,
+                                                            monkeypatch):
+    """A metrics CSV or config echo whose write dies half way leaves the
+    previous file's bytes and no temp file."""
+    train, test = small_data(seed=3)
+    cfg = small_config(epochs=2)
+    result = run_experiment(cfg, train, test, out_dir=str(tmp_path),
+                            tag="ok")
+    names = sorted(os.listdir(tmp_path))
+    metrics = os.path.join(tmp_path, "ok_metrics.csv")
+    echo = os.path.join(tmp_path, "ok_config.txt")
+    before = {}
+    for path in (metrics, echo):
+        with open(path, "rb") as fh:
+            before[path] = fh.read()
+
+    # the header and first row are written before the bad row raises
+    with pytest.raises(KeyError):
+        write_metrics_csv(result.history + [{"epoch": 2}], metrics)
+
+    def broken_echo(cfg):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(config, "echo_config", broken_echo)
+    with pytest.raises(OSError, match="disk full"):
+        config.write_config_echo(cfg, echo)
+    for path, data in before.items():
+        with open(path, "rb") as fh:
+            assert fh.read() == data, path
+    assert sorted(os.listdir(tmp_path)) == names
+
+
+def test_train_and_test_widths_must_match():
+    train, test = small_data(seed=3)
+    narrow = replace(test, features=test.features[:, :-1])
+    with pytest.raises(DataFormatError, match="5 feature columns, train data has 6"):
+        run_experiment(small_config(epochs=1), train, narrow)
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
