@@ -14,7 +14,6 @@ divergence, 4 I/O or data-format error.
 """
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import fields, replace
@@ -38,6 +37,7 @@ from .errors import (
     NumericalDivergence,
     UqtrainError,
 )
+from .files import write_csv
 from .heads import load_checkpoint
 from .training import (
     ABLATION_LADDER,
@@ -148,12 +148,7 @@ def cmd_eval(args) -> int:
     for name, value in rows:
         print(f"{name} = {value}")
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for name, value in rows:
-                writer.writerow([name, repr(float(value))
-                                 if not isinstance(value, int) else value])
+        write_csv(args.out, ["metric", "value"], rows)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -175,11 +170,7 @@ def cmd_reject_curve(args) -> int:
     for r, a, kept in rows:
         print(f"{r},{a},{kept}")
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rate", "accuracy", "retained"])
-            for r, a, kept in rows:
-                writer.writerow([repr(float(r)), repr(float(a)), kept])
+        write_csv(args.out, ["rate", "accuracy", "retained"], rows)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -206,11 +197,7 @@ def cmd_ablate(args) -> int:
         rows.append((tag, acc))
         print(f"{tag}: {acc:.4f}")
     table = os.path.join(args.out, "ablation.csv")
-    with open(table, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "test_accuracy"])
-        for tag, acc in rows:
-            writer.writerow([tag, repr(float(acc))])
+    write_csv(table, ["variant", "test_accuracy"], rows)
     print(f"wrote {table}")
     return EXIT_OK
 

@@ -181,9 +181,11 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    """Parse save_dataset output; round-trips bitwise."""
+    """Parse save_dataset output; round-trips bitwise.  A negative label
+    or a non-finite feature is a format error naming its line."""
     feats = []
     labels = []
+    linenos = []
     width = None
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -207,9 +209,17 @@ def load_dataset(path: str) -> LabeledDataset:
                     labels.append(int(cells[-1]))
                 except ValueError as e:
                     raise DataFormatError(f"{path}:{lineno}: {e}") from e
+                linenos.append(lineno)
     except OSError as e:
         raise DataFormatError(f"cannot read dataset {path}: {e}") from e
     if not feats:
         raise DataFormatError(f"{path}: empty dataset")
-    return LabeledDataset(features=np.array(feats, dtype=np.float64),
-                          labels=np.array(labels, dtype=np.int64))
+    features = np.array(feats, dtype=np.float64)
+    labels = np.array(labels, dtype=np.int64)
+    bad = ~np.isfinite(features).all(axis=1) | (labels < 0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = (f"negative label {labels[row]}" if labels[row] < 0
+                else "non-finite feature")
+        raise DataFormatError(f"{path}:{linenos[row]}: {what}")
+    return LabeledDataset(features=features, labels=labels)

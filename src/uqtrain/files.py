@@ -1,5 +1,6 @@
 """Artifact files that are either whole or untouched."""
 
+import csv
 import os
 from contextlib import contextmanager
 
@@ -21,3 +22,14 @@ def atomic_open(path: str, encoding: str, newline: str | None = None):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_csv(path: str, header: list, rows) -> None:
+    """Write an ASCII CSV atomically: ints and strings as they are, any
+    other value as repr(float(v)), so floats round-trip bitwise."""
+    with atomic_open(path, encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (int, str))
+                             else repr(float(v)) for v in row])

@@ -89,8 +89,6 @@ def _op_cases(seed: int):
                      [P(rng.standard_normal((2, 3, 4, 4)))], rng)
     yield _make_case("spatial_std", lambda ars: T.spatial_std(ars[0]),
                      [P(rng.standard_normal((2, 3, 4, 4)))], rng)
-    yield _make_case("batch_mean", lambda ars: T.batch_mean(ars[0]),
-                     [P(rng.standard_normal((5, 3)))], rng)
     yield _make_case("batch_std", lambda ars: T.batch_std(ars[0]),
                      [P(rng.standard_normal((5, 3)))], rng)
 

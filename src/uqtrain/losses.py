@@ -21,15 +21,24 @@ from .mining import TripletPlan
 class MixedFeatures:
     """Blended embeddings and the per-branch weights that built them.
 
-    Weights are (B, d) and sum to one elementwise across the branches
+    Only features carries gradients.  The weights are constants, reported
+    for inspection: (B, d), summing to one elementwise across the branches
     that exist; rows that could not be mixed carry f = mean, w = 1 and
     zero partner weights.
     """
 
     features: T.DiffArray   # (B, d)
-    w_self: T.DiffArray     # (B, d)
-    w_pos: T.DiffArray      # (B, d)
-    w_neg: T.DiffArray      # (B, d)
+    w_self: T.DiffArray     # (B, d), constant
+    w_pos: T.DiffArray      # (B, d), constant
+    w_neg: T.DiffArray      # (B, d), constant
+
+
+def _partners(plan: TripletPlan, include_pos: bool,
+              include_neg: bool) -> list[tuple[str, np.ndarray]]:
+    """(branch, partner index) of the enabled branches, positive first."""
+    return [(name, index) for name, index, on in
+            (("pos", plan.pos_index, include_pos),
+             ("neg", plan.neg_index, include_neg)) if on]
 
 
 def mixup(u: UncertainBatch, plan: TripletPlan | None,
@@ -43,53 +52,41 @@ def mixup(u: UncertainBatch, plan: TripletPlan | None,
     blend.
     """
     b, d = u.mean.shape
-    ones = T.constant(np.ones((b, d)))
     zeros = T.constant(np.zeros((b, d)))
 
     if plan is None or not (include_pos or include_neg):
-        return MixedFeatures(features=u.mean, w_self=ones,
+        return MixedFeatures(features=u.mean,
+                             w_self=T.constant(np.ones((b, d))),
                              w_pos=zeros, w_neg=zeros)
 
     if plan.pos_index.shape != (b,) or plan.neg_index.shape != (b,):
         raise ShapeError("triplet plan does not match batch size")
 
-    base = u.sigma
+    partners = _partners(plan, include_pos, include_neg)
+    sigmas = [T.take_rows(u.sigma, index) for _, index in partners]
+    denom = u.sigma
+    for sigma in sigmas:
+        denom = T.add(denom, sigma)
 
-    parts = [base]
-    if include_pos:
-        parts.append(T.take_rows(base, plan.pos_index))
-    if include_neg:
-        parts.append(T.take_rows(base, plan.neg_index))
-    denom = parts[0]
-    for extra in parts[1:]:
-        denom = T.add(denom, extra)
-
-    w_self = T.div(base, denom)
-    w_pos = T.div(parts[1], denom) if include_pos else zeros
-    w_neg = T.div(parts[-1], denom) if include_neg else zeros
+    w_self = T.div(u.sigma, denom)
+    weights = [T.div(sigma, denom) for sigma in sigmas]
 
     mixed = T.mul(w_self, u.mean)
-    if include_pos:
-        mixed = T.add(mixed, T.mul(w_pos, T.take_rows(u.mean, plan.pos_index)))
-    if include_neg:
-        mixed = T.add(mixed, T.mul(w_neg, T.take_rows(u.mean, plan.neg_index)))
+    for (_, index), w in zip(partners, weights):
+        mixed = T.add(mixed, T.mul(w, T.take_rows(u.mean, index)))
 
     # degrade invalid rows to the identity blend
-    keep = plan.valid_mask.astype(np.float64)[:, None]
-    keep_c = T.constant(np.broadcast_to(keep, (b, d)).copy())
-    drop_c = T.constant(np.broadcast_to(1.0 - keep, (b, d)).copy())
+    keep = np.repeat(plan.valid_mask.astype(np.float64)[:, None], d, axis=1)
+    drop = 1.0 - keep
+    features = T.add(T.mul(T.constant(keep), mixed),
+                     T.mul(T.constant(drop), u.mean))
 
-    features = T.add(T.mul(keep_c, mixed), T.mul(drop_c, u.mean))
-    w_self = T.add(T.mul(keep_c, w_self), drop_c)
-    w_pos = T.mul(keep_c, w_pos)
-    w_neg = T.mul(keep_c, w_neg)
-    return MixedFeatures(features=features, w_self=w_self,
-                         w_pos=w_pos, w_neg=w_neg)
-
-
-def _check_labels(labels: np.ndarray, num_classes: int, what: str):
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise LabelError(f"{what} outside [0, {num_classes})")
+    reported = {name: T.constant(keep * w.values)
+                for (name, _), w in zip(partners, weights)}
+    return MixedFeatures(features=features,
+                         w_self=T.constant(keep * w_self.values + drop),
+                         w_pos=reported.get("pos", zeros),
+                         w_neg=reported.get("neg", zeros))
 
 
 def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,
@@ -113,22 +110,15 @@ def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} does not match "
                          f"batch {b}")
-    _check_labels(labels, k, "labels")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise LabelError(f"labels outside [0, {k})")
 
     targets = np.zeros((b, k), dtype=np.float64)
     targets[np.arange(b), labels] += 1.0
     if plan is not None:
-        valid = plan.valid_mask
-        if include_pos:
-            pos_labels = labels[plan.pos_index]
-            _check_labels(pos_labels, k, "positive labels")
-            rows = np.flatnonzero(valid)
-            targets[rows, pos_labels[rows]] += 1.0
-        if include_neg:
-            neg_labels = labels[plan.neg_index]
-            _check_labels(neg_labels, k, "negative labels")
-            rows = np.flatnonzero(valid)
-            targets[rows, neg_labels[rows]] += 1.0
+        rows = np.flatnonzero(plan.valid_mask)
+        for _, index in _partners(plan, include_pos, include_neg):
+            targets[rows, labels[index[rows]]] += 1.0
 
     logp = T.log_softmax(T.matmul(mixed, T.transpose(classifier)))
     picked = T.total_sum(T.mul(T.constant(targets), logp))

@@ -9,7 +9,8 @@ For a feature map F of shape (B, C, H, W) we track two levels:
 
 The batch-level spreads say how much the instance statistics wobble
 across the batch, which is exactly the scale the compensation module
-uses for its perturbation draws.
+uses for its perturbation draws.  No loss reads the two batch means, so
+they are plain constants; the other four statistics carry gradients.
 """
 
 from dataclasses import dataclass
@@ -20,48 +21,29 @@ from .errors import DegenerateBatch, DegenerateSpatialDims, ShapeError
 
 @dataclass
 class LayerStats:
-    """All statistics of one feature map, differentiable end to end."""
+    """All statistics of one feature map; the batch means are constants."""
 
     instance_mean: T.DiffArray   # (B, C)
     instance_std: T.DiffArray    # (B, C)
-    mean_of_means: T.DiffArray   # (C,)
+    mean_of_means: T.DiffArray   # (C,), constant
     std_of_means: T.DiffArray    # (C,)
-    mean_of_stds: T.DiffArray    # (C,)
+    mean_of_stds: T.DiffArray    # (C,), constant
     std_of_stds: T.DiffArray     # (C,)
 
 
-def instance_stats(feat: T.DiffArray) -> tuple[T.DiffArray, T.DiffArray]:
-    """Per-sample, per-channel spatial mean and std of a (B, C, H, W) map."""
+def layer_stats(feat: T.DiffArray) -> LayerStats:
+    """Both levels of statistics of a (B, C, H, W) map."""
     if feat.ndim != 4:
-        raise ShapeError(f"instance_stats needs a 4-d map, got {feat.shape}")
+        raise ShapeError(f"layer_stats needs a 4-d map, got {feat.shape}")
     if feat.shape[2] * feat.shape[3] < 2:
         raise DegenerateSpatialDims(
             f"spatial std needs at least 2 positions, map is "
             f"{feat.shape[2]}x{feat.shape[3]}")
-    return T.spatial_mean(feat), T.spatial_std(feat)
-
-
-def batch_stats(instance_mean: T.DiffArray, instance_std: T.DiffArray):
-    """Mean and spread of the instance statistics across the batch.
-
-    Returns (mean_of_means, std_of_means, mean_of_stds, std_of_stds),
-    each of shape (C,).
-    """
-    if instance_mean.ndim != 2 or instance_std.ndim != 2:
-        raise ShapeError("batch_stats needs 2-d instance statistics")
-    if instance_mean.shape != instance_std.shape:
-        raise ShapeError(f"instance statistic shapes differ: "
-                         f"{instance_mean.shape} vs {instance_std.shape}")
-    if instance_mean.shape[0] < 2:
+    if feat.shape[0] < 2:
         raise DegenerateBatch("batch statistics need at least 2 samples")
-    return (T.batch_mean(instance_mean), T.batch_std(instance_mean),
-            T.batch_mean(instance_std), T.batch_std(instance_std))
-
-
-def layer_stats(feat: T.DiffArray) -> LayerStats:
-    """Convenience wrapper computing both levels in one call."""
-    u, s = instance_stats(feat)
-    mm, sm, ms, ss = batch_stats(u, s)
+    u, s = T.spatial_mean(feat), T.spatial_std(feat)
     return LayerStats(instance_mean=u, instance_std=s,
-                      mean_of_means=mm, std_of_means=sm,
-                      mean_of_stds=ms, std_of_stds=ss)
+                      mean_of_means=T.constant(u.values.mean(axis=0)),
+                      std_of_means=T.batch_std(u),
+                      mean_of_stds=T.constant(s.values.mean(axis=0)),
+                      std_of_stds=T.batch_std(s))

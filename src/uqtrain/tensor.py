@@ -363,19 +363,6 @@ def spatial_std(x: DiffArray) -> DiffArray:
     return _record(out, (x,), bw)
 
 
-def batch_mean(x: DiffArray) -> DiffArray:
-    """(B, C) -> (C,) mean over the batch."""
-    if x.ndim != 2:
-        raise ShapeError(f"batch_mean needs a 2-d operand, got {x.shape}")
-    out = DiffArray(x.values.mean(axis=0))
-    n = x.shape[0]
-
-    def bw(g):
-        return (np.broadcast_to(g[None, :] / n, x.shape).copy(),)
-
-    return _record(out, (x,), bw)
-
-
 def batch_std(x: DiffArray) -> DiffArray:
     """(B, C) -> (C,) population std over the batch."""
     if x.ndim != 2:

@@ -7,7 +7,6 @@ defines.  Two runs with the same inputs produce bitwise identical
 checkpoints and metrics files.
 """
 
-import csv
 import os
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .errors import (
     DegenerateBatch,
     NumericalDivergence,
 )
-from .files import atomic_open
+from .files import write_csv
 from .heads import (
     Network,
     build_vector_network,
@@ -75,6 +74,12 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
+            # a non-finite gradient makes v non-finite too, and so does an
+            # overflowing g * g, which would freeze the parameter for good
+            if not np.isfinite(v).all():
+                raise NumericalDivergence(
+                    f"gradient of {name} is not finite or overflows at "
+                    f"optimizer step {self.t}")
             mhat = m / bias1
             vhat = v / bias2
             step_lr = lr * self.lr_multipliers.get(name, 1.0)
@@ -123,7 +128,8 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
                cfg: TrainConfig, opt: Adam, epoch: int,
                batch_index: int) -> LossBreakdown:
     """One forward/backward/update on a batch.  Raises
-    NumericalDivergence if the loss leaves the realm of finite numbers."""
+    NumericalDivergence if the loss or a gradient leaves the realm of
+    finite numbers."""
     if x.shape[0] < 2:
         raise DegenerateBatch("training batches need at least 2 samples")
     layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
@@ -260,13 +266,8 @@ def _metrics_row(epoch, step, breakdown, train_acc, report) -> dict:
 
 def write_metrics_csv(rows: list, path: str) -> None:
     """Fixed column order, repr floats: bitwise reproducible output."""
-    with atomic_open(path, encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row[c] if isinstance(row[c], int) else repr(float(row[c]))
-                for c in METRICS_COLUMNS])
+    write_csv(path, METRICS_COLUMNS,
+              ([row[c] for c in METRICS_COLUMNS] for row in rows))
 
 
 def fit(net: Network, train_ds: LabeledDataset, test_ds: LabeledDataset,

@@ -1,14 +1,16 @@
 """End-to-end checks of the command line interface, run in-process."""
 
 import base64
+import csv
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from uqtrain.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
-from uqtrain.data import load_dataset
+from uqtrain.data import LabeledDataset, load_dataset, save_dataset
 from uqtrain.heads import (build_vector_network, load_checkpoint,
                            save_checkpoint)
 
@@ -323,3 +325,92 @@ def test_feature_width_mismatch_exits_4(data_dir, tmp_path, capsys,
     assert "5 feature columns" in captured.err and "6" in captured.err
     assert captured.out == ""
     assert not os.path.exists(os.path.join(tmp_path, "x", "run_metrics.csv"))
+
+
+def test_gradient_overflow_exits_3(data_dir, tmp_path, capsys):
+    """Features near 1e150 keep the loss finite but overflow Adam's g * g;
+    the run stops instead of freezing the parameter and exiting 0."""
+    ds = load_dataset(data_dir["train"])
+    huge = os.path.join(tmp_path, "huge.csv")
+    save_dataset(LabeledDataset(ds.features[:40] * 1e150, ds.labels[:40]),
+                 huge)
+    with np.errstate(all="ignore"):
+        code = main(["train", "--out", os.path.join(tmp_path, "x")]
+                    + fast_args(dict(data_dir, train=huge)))
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "numerical divergence" in err and "gradient of" in err
+    assert not os.path.exists(os.path.join(tmp_path, "x", "run_metrics.csv"))
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("cell, what", [
+    ("-1", "negative label -1"), ("nan", "non-finite feature"),
+    ("-inf", "non-finite feature")], ids=["label", "nan", "inf"])
+def test_bad_data_row_exits_4(data_dir, tmp_path, capsys, command, cell,
+                              what):
+    """A negative label or a non-finite feature on line 3 fails at load,
+    naming the file and the line."""
+    with open(data_dir["test"]) as f:
+        lines = f.read().splitlines()
+    cells = lines[2].split(",")
+    cells[-1 if cell == "-1" else 0] = cell
+    lines[2] = ",".join(cells)
+    bad = os.path.join(tmp_path, "bad.csv")
+    with open(bad, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    if command == "train":
+        args = ["train", "--out", os.path.join(tmp_path, "x")] \
+            + fast_args(dict(data_dir, train=bad))
+    else:
+        ck = os.path.join(tmp_path, "ck.json")
+        save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)] * 2), ck)
+        args = ["eval", "--checkpoint", ck, "--data", bad]
+    assert main(args) == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"i/o error: {bad}:3: {what}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "reject-curve", "ablate"])
+def test_failed_csv_write_keeps_previous_file(data_dir, tmp_path, capsys,
+                                              monkeypatch, command):
+    """A CSV output whose write dies after its header leaves the previous
+    file's bytes and no temp file."""
+    if command == "ablate":
+        folder = os.path.join(tmp_path, "ablation")
+        target = os.path.join(folder, "ablation.csv")
+        args = ["ablate", "--out", folder] + fast_args(data_dir)
+    else:
+        folder = str(tmp_path)
+        target = os.path.join(folder, "out.csv")
+        ck = os.path.join(folder, "ck.json")
+        save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)] * 2), ck)
+        args = [command, "--checkpoint", ck, "--data", data_dir["test"],
+                "--out", target]
+    assert main(args) == EXIT_OK
+    names = sorted(os.listdir(folder))
+    with open(target, "rb") as f:
+        before = f.read()
+
+    real_writer = csv.writer
+
+    def writer_failing_after_header(fh):
+        writer = real_writer(fh)
+        if not fh.name.startswith(target):
+            return writer
+        written = []
+
+        def writerow(row):
+            if written:
+                raise OSError("disk full")
+            written.append(row)
+            return writer.writerow(row)
+        return SimpleNamespace(writerow=writerow)
+
+    monkeypatch.setattr(csv, "writer", writer_failing_after_header)
+    assert main(args) == EXIT_IO
+    assert "disk full" in capsys.readouterr().err
+    with open(target, "rb") as f:
+        assert f.read() == before
+    assert sorted(os.listdir(folder)) == names

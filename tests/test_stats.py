@@ -5,7 +5,7 @@ import pytest
 
 import uqtrain.tensor as T
 from uqtrain.errors import DegenerateBatch, DegenerateSpatialDims
-from uqtrain.stats import batch_stats, instance_stats, layer_stats
+from uqtrain.stats import layer_stats
 
 
 def loop_instance_stats(feat):
@@ -41,24 +41,33 @@ def loop_batch_stats(u, s):
     return mu, sig_mu, sig, sig_sig
 
 
+def map_with_stats(u, s):
+    """A (B, C, 1, 2) map whose instance means are u and whose population
+    stds are s: each map holds the two points u - s and u + s."""
+    return u[:, :, None, None] + s[:, :, None, None] * np.array([-1.0, 1.0])
+
+
 def test_constant_map_has_zero_spread():
     feat = np.full((2, 3, 2, 2), 5.0)
-    u, s = instance_stats(T.constant(feat))
+    st = layer_stats(T.constant(feat))
+    u, s = st.instance_mean, st.instance_std
     np.testing.assert_allclose(u.values, np.full((2, 3), 5.0), atol=1e-12)
     np.testing.assert_allclose(s.values, np.zeros((2, 3)), atol=1e-6)
 
 
 def test_two_point_population_std():
-    feat = np.array([0.0, 2.0]).reshape(1, 1, 1, 2)
-    u, s = instance_stats(T.constant(feat))
-    assert u.values.item() == pytest.approx(1.0, abs=1e-12)
-    assert s.values.item() == pytest.approx(1.0, abs=1e-9)
+    feat = np.array([0.0, 2.0] * 2).reshape(2, 1, 1, 2)
+    st = layer_stats(T.constant(feat))
+    u, s = st.instance_mean, st.instance_std
+    assert u.values[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert s.values[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_instance_stats_match_loop_oracle():
     rng = np.random.default_rng(0)
     feat = rng.standard_normal((4, 3, 2, 2))
-    u, s = instance_stats(T.constant(feat))
+    st = layer_stats(T.constant(feat))
+    u, s = st.instance_mean, st.instance_std
     lu, ls = loop_instance_stats(feat)
     np.testing.assert_allclose(u.values, lu, atol=1e-12)
     np.testing.assert_allclose(s.values, ls, atol=1e-12)
@@ -67,14 +76,16 @@ def test_instance_stats_match_loop_oracle():
 def test_batch_stats_identical_rows_zero_spread():
     row = np.array([1.0, -2.0, 3.0])
     u = np.tile(row, (4, 1))
-    mu, sig_mu, _, _ = batch_stats(T.constant(u), T.constant(np.abs(u)))
+    st = layer_stats(T.constant(map_with_stats(u, np.abs(u))))
+    mu, sig_mu = st.mean_of_means, st.std_of_means
     np.testing.assert_allclose(mu.values, row, atol=1e-12)
     np.testing.assert_allclose(sig_mu.values, np.zeros(3), atol=1e-6)
 
 
 def test_batch_stats_two_point_column():
     u = np.array([[0.0], [2.0]])
-    mu, sig_mu, _, _ = batch_stats(T.constant(u), T.constant(u))
+    st = layer_stats(T.constant(map_with_stats(u, np.zeros_like(u))))
+    mu, sig_mu = st.mean_of_means, st.std_of_means
     assert mu.values.item() == pytest.approx(1.0, abs=1e-12)
     assert sig_mu.values.item() == pytest.approx(1.0, abs=1e-9)
 
@@ -83,8 +94,12 @@ def test_batch_stats_match_loop_oracle():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((8, 5))
     s = np.abs(rng.standard_normal((8, 5)))
-    mu, sig_mu, sig, sig_sig = batch_stats(T.constant(u), T.constant(s))
-    lmu, lsig_mu, lsig, lsig_sig = loop_batch_stats(u, s)
+    st = layer_stats(T.constant(map_with_stats(u, s)))
+    mu, sig_mu = st.mean_of_means, st.std_of_means
+    sig, sig_sig = st.mean_of_stds, st.std_of_stds
+    # the oracle aggregates the instance statistics layer_stats produced
+    lmu, lsig_mu, lsig, lsig_sig = loop_batch_stats(
+        st.instance_mean.values, st.instance_std.values)
     np.testing.assert_allclose(mu.values, lmu, atol=1e-12)
     np.testing.assert_allclose(sig_mu.values, lsig_mu, atol=1e-12)
     np.testing.assert_allclose(sig.values, lsig, atol=1e-12)
@@ -145,12 +160,12 @@ def test_constant_shift_moves_means_only():
 
 def test_single_pixel_map_rejected():
     with pytest.raises(DegenerateSpatialDims):
-        instance_stats(T.constant(np.ones((2, 3, 1, 1))))
+        layer_stats(T.constant(np.ones((2, 3, 1, 1))))
 
 
 def test_single_sample_batch_rejected():
     with pytest.raises(DegenerateBatch):
-        batch_stats(T.constant(np.ones((1, 3))), T.constant(np.ones((1, 3))))
+        layer_stats(T.constant(np.ones((1, 3, 2, 2))))
 
 
 def test_stats_participate_in_autodiff():

@@ -179,6 +179,55 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
                                    err_msg=name)
 
 
+# tape nodes of one train step at the default architecture
+NODES_PER_STEP = {"baseline": 23, "compensation": 57, "compensation+pos": 68,
+                  "compensation+neg": 68, "compensation+pos+neg": 74,
+                  "full": 88}
+
+
+@pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
+                         ids=[tag for tag, _ in ABLATION_LADDER])
+def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
+    """Only what a loss differentiates goes on the tape.  Without a
+    partner branch no loss reads sigma, so the four sigma-head nodes are
+    the only dead ones; they stay because evaluation ranks by sigma."""
+    ds = make_blobs(4, 10, 128, 1.0, seed=0)
+    cfg = replace(TrainConfig(), **overrides)
+    net = build_vector_network(10, 4, cfg.embed_dim,
+                               [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
+    seen = {}
+    real_head, real_backward = training.head_forward, T.backward
+
+    def spy_head(*args):
+        seen["u"] = real_head(*args)
+        return seen["u"]
+
+    def spy_backward(loss, tape):
+        ops = [n.backward.__qualname__.split(".", 1)[0] for n in tape.nodes]
+        called = set()
+        for i, node in enumerate(tape.nodes):
+            def recorded(g, i=i, bw=node.backward):
+                called.add(i)
+                return bw(g)
+            node.backward = recorded
+        real_backward(loss, tape)
+        seen["count"] = len(tape.nodes)
+        seen["dead"] = [(ops[i], n.out) for i, n in enumerate(tape.nodes)
+                        if i not in called]
+
+    monkeypatch.setattr(training, "head_forward", spy_head)
+    monkeypatch.setattr(T, "backward", spy_backward)
+    train_step(net, ds.features, ds.labels, cfg, Adam(net.parameters()),
+               0, 0)
+    assert seen["count"] == NODES_PER_STEP[tag]
+    dead = seen["dead"]
+    if cfg.use_positive_branch or cfg.use_negative_branch:
+        assert dead == []
+    else:
+        assert [op for op, _ in dead] == ["matmul", "add", "softplus", "add"]
+        assert dead[-1][1] is seen["u"].sigma
+
+
 def test_three_epoch_replay_is_bitwise_identical():
     train, test = small_data(seed=1)
     cfg = small_config(epochs=3)
