@@ -9,7 +9,9 @@ gradients for every op the rest of the package composes.
 import numpy as np
 
 import uqtrain.tensor as T
+from uqtrain.compensation import compensate, draw_perturbation
 from uqtrain.heads import build_vector_network
+from uqtrain.stats import layer_stats
 
 
 def scalar_chain():
@@ -37,19 +39,27 @@ def gradient_accumulation():
 
 def grid_statistics():
     # the backbone's blocks are affine layers read as (C, H, W) grids;
-    # their channel statistics are what compensation perturbs
+    # compensation jitters their channel statistics in one tape node whose
+    # backward runs through those statistics
     net = build_vector_network(input_dim=5, num_classes=3, embed_dim=4,
                                grids=((2, 2, 3), (2, 2, 3)), seed=1)
     block = net.blocks[0]
-    x = T.constant(np.random.default_rng(1).standard_normal((4, 5)))
-    with T.Tape() as tape:
+    rng = np.random.default_rng(1)
+    x = T.constant(rng.standard_normal((4, 5)))
+    draw = draw_perturbation(4, 2, seed=1, epoch=0, batch_index=0,
+                             layer_index=1)
+    w = T.constant(rng.standard_normal((4, 2, 2, 3)))
+
+    def f(arrays):
         grid = block.apply(x)
-        stats = T.add(T.spatial_mean(grid), T.spatial_std(grid))
-        out = T.total_sum(stats)
-    T.backward(out, tape)
-    print(f"block output grid {grid.shape}, channel statistics "
-          f"{stats.shape}, weight gradient shape {block.weight.grad.shape}, "
-          f"finite everywhere: {np.isfinite(block.weight.grad).all()}")
+        return T.total_sum(T.mul(compensate(grid, layer_stats(grid), draw),
+                                 w))
+
+    with T.Tape() as tape:
+        f(None)
+    err = T.check_gradients(f, [block.weight, block.bias])
+    print(f"compensated block grid: {len(tape.nodes)} tape nodes, worst "
+          f"relative gradient error of the block's weights: {err:.2e}")
 
 
 def stability_check():

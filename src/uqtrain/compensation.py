@@ -50,10 +50,11 @@ def draw_perturbation(batch_size: int, channels: int, seed: int, epoch: int,
 
 def compensate(feat: T.DiffArray, stats,
                draw: PerturbationDraw) -> T.DiffArray:
-    """Apply one compensation step to a (B, C, H, W) map.
+    """Apply one compensation step to a (B, C, H, W) map, as one tape node.
 
-    stats is a LayerStats for this exact map; gradients flow through both
-    the map and the statistics, so the network feels how its own feature
+    stats must be the LayerStats of this exact map: its values are
+    constants, and the node's backward differentiates through them in
+    closed form, so the network still feels how its own feature
     distribution shifts under the jitter.
     """
     if feat.ndim != 4:
@@ -67,19 +68,11 @@ def compensate(feat: T.DiffArray, stats,
         raise ShapeError(
             f"perturbation shape {np.shape(draw.eps_mean)} does not match "
             f"map ({b}, {c})")
-
-    center, scale = stats.instance_mean, stats.instance_std
-    bc11 = (b, c, 1, 1)   # (B, C) statistics broadcast over each map
-
-    eps_m = T.constant(draw.eps_mean)
-    eps_s = T.constant(draw.eps_std)
-    jittered_scale = T.add(scale, T.mul(eps_s, stats.std_of_stds))
-    jittered_shift = T.add(center, T.mul(eps_m, stats.std_of_means))
-
-    normalized = T.div(T.sub(feat, T.reshape(center, bc11)),
-                       T.add(T.reshape(scale, bc11), T.constant(EPS_DIV)))
-    return T.add(T.mul(T.reshape(jittered_scale, bc11), normalized),
-                 T.reshape(jittered_shift, bc11))
+    return T.perturb_stats(feat, stats.instance_mean.values,
+                           stats.instance_std.values,
+                           stats.std_of_means.values,
+                           stats.std_of_stds.values,
+                           draw.eps_mean, draw.eps_std, EPS_DIV)
 
 
 def forward_with_compensation(x: T.DiffArray, net,

@@ -181,8 +181,9 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    """Parse save_dataset output; round-trips bitwise.  A negative label
-    or a non-finite feature is a format error naming its line."""
+    """Parse save_dataset output; round-trips bitwise.  A label outside
+    int64, a negative label or a non-finite feature is a format error
+    naming its line."""
     feats = []
     labels = []
     linenos = []
@@ -209,6 +210,10 @@ def load_dataset(path: str) -> LabeledDataset:
                     labels.append(int(cells[-1]))
                 except ValueError as e:
                     raise DataFormatError(f"{path}:{lineno}: {e}") from e
+                if not -2**63 <= labels[-1] < 2**63:  # stored as int64
+                    raise DataFormatError(
+                        f"{path}:{lineno}: label {labels[-1]} does not fit "
+                        "in int64")
                 linenos.append(lineno)
     except OSError as e:
         raise DataFormatError(f"cannot read dataset {path}: {e}") from e

@@ -13,10 +13,12 @@ sum(out * W), so elementwise gradient errors cannot cancel.
 import numpy as np
 
 from . import tensor as T
-from .compensation import forward_with_compensation
+from .compensation import (PerturbationDraw, compensate,
+                           forward_with_compensation)
 from .heads import build_vector_network, head_forward
 from .losses import ce_loss, mixup, total_loss, triplet_loss
 from .mining import mine_triplets
+from .stats import layer_stats
 
 # |analytic - numeric| / max(1, |analytic|, |numeric|) must stay below this
 REL_TOL = 1e-4
@@ -85,12 +87,13 @@ def _op_cases(seed: int):
     yield _make_case("row_sum", lambda ars: T.row_sum(ars[0]),
                      [P(rng.standard_normal((3, 4)))], rng)
 
-    yield _make_case("spatial_mean", lambda ars: T.spatial_mean(ars[0]),
-                     [P(rng.standard_normal((2, 3, 4, 4)))], rng)
-    yield _make_case("spatial_std", lambda ars: T.spatial_std(ars[0]),
-                     [P(rng.standard_normal((2, 3, 4, 4)))], rng)
-    yield _make_case("batch_std", lambda ars: T.batch_std(ars[0]),
-                     [P(rng.standard_normal((5, 3)))], rng)
+    # the smallest map layer_stats accepts: 2 samples of 2 positions
+    noise = PerturbationDraw(eps_mean=rng.standard_normal((2, 3)),
+                             eps_std=rng.standard_normal((2, 3)))
+    yield _make_case("perturb_stats",
+                     lambda ars: compensate(ars[0], layer_stats(ars[0]),
+                                            noise),
+                     [P(rng.standard_normal((2, 3, 1, 2)))], rng)
 
     yield _make_case("log_softmax", lambda ars: T.log_softmax(ars[0]),
                      [P(rng.standard_normal((3, 4)))], rng)

@@ -9,26 +9,39 @@ For a feature map F of shape (B, C, H, W) we track two levels:
 
 The batch-level spreads say how much the instance statistics wobble
 across the batch, which is exactly the scale the compensation module
-uses for its perturbation draws.  No loss reads the two batch means, so
-they are plain constants; the other four statistics carry gradients.
+uses for its perturbation draws.  All six statistics are plain
+constants: the compensation op's backward differentiates through them
+itself, so none of them goes on the tape.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as T
 from .errors import DegenerateBatch, DegenerateSpatialDims, ShapeError
+
+# variance smoothing inside every std; keeps each std at least 1e-6, so
+# dividing by one is safe and sqrt is differentiable at zero spread.
+EPS_VAR = 1e-12
 
 
 @dataclass
 class LayerStats:
-    """All statistics of one feature map; the batch means are constants."""
+    """All statistics of one feature map, every field a constant."""
 
     instance_mean: T.DiffArray   # (B, C)
     instance_std: T.DiffArray    # (B, C)
-    mean_of_means: T.DiffArray   # (C,), constant
+    mean_of_means: T.DiffArray   # (C,)
     std_of_means: T.DiffArray    # (C,)
-    mean_of_stds: T.DiffArray    # (C,), constant
+    mean_of_stds: T.DiffArray    # (C,)
     std_of_stds: T.DiffArray     # (C,)
+
+
+def _std(x, axis):
+    """Population std over axis, smoothed as sqrt(var + EPS_VAR)."""
+    mean = x.mean(axis=axis, keepdims=True)
+    return np.sqrt(np.mean((x - mean) ** 2, axis=axis) + EPS_VAR)
 
 
 def layer_stats(feat: T.DiffArray) -> LayerStats:
@@ -41,9 +54,10 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
             f"{feat.shape[2]}x{feat.shape[3]}")
     if feat.shape[0] < 2:
         raise DegenerateBatch("batch statistics need at least 2 samples")
-    u, s = T.spatial_mean(feat), T.spatial_std(feat)
-    return LayerStats(instance_mean=u, instance_std=s,
-                      mean_of_means=T.constant(u.values.mean(axis=0)),
-                      std_of_means=T.batch_std(u),
-                      mean_of_stds=T.constant(s.values.mean(axis=0)),
-                      std_of_stds=T.batch_std(s))
+    u, s = feat.values.mean(axis=(2, 3)), _std(feat.values, (2, 3))
+    return LayerStats(instance_mean=T.constant(u),
+                      instance_std=T.constant(s),
+                      mean_of_means=T.constant(u.mean(axis=0)),
+                      std_of_means=T.constant(_std(u, 0)),
+                      mean_of_stds=T.constant(s.mean(axis=0)),
+                      std_of_stds=T.constant(_std(s, 0)))

@@ -12,8 +12,7 @@ Design rules the ops follow:
 * all buffers are float64 and ops return fresh arrays (no views escape);
 * degenerate numerics raise (DegenerateDenominator) rather than letting
   NaN or inf propagate silently;
-* forward values match the textbook definitions, standard deviations use
-  the population convention smoothed as sqrt(var + 1e-12).
+* forward values match the textbook definitions.
 """
 
 import numpy as np
@@ -22,8 +21,6 @@ from .errors import ContractError, DegenerateDenominator, ShapeError
 
 # |denominator| below this is treated as a division by zero.
 EPS_DIV = 1e-12
-# variance smoothing inside the std ops; keeps sqrt differentiable at 0.
-EPS_VAR = 1e-12
 
 
 class DiffArray:
@@ -329,53 +326,43 @@ def row_sum(x: DiffArray) -> DiffArray:
 
 
 # ---------------------------------------------------------------------------
-# statistics ops (population convention, smoothed sqrt)
+# statistics op: a whole compensated layer is one node
 
 
-def spatial_mean(x: DiffArray) -> DiffArray:
-    """(B, C, H, W) -> (B, C) mean over the spatial positions."""
-    if x.ndim != 4:
-        raise ShapeError(f"spatial_mean needs a 4-d map, got {x.shape}")
-    out = DiffArray(x.values.mean(axis=(2, 3)))
-    hw = x.shape[2] * x.shape[3]
+def perturb_stats(x: DiffArray, u, s, sm, ss, eps_m, eps_s,
+                  eps_div: float) -> DiffArray:
+    """Re-standardize a (B, C, H, W) map by its instance statistics and
+    re-scale and re-shift it by jittered ones:
 
-    def bw(g):
-        return (np.broadcast_to(g[:, :, None, None] / hw, x.shape).copy(),)
+        out = (s + eps_s * ss) * ((x - u) / (s + eps_div)) + (u + eps_m * sm)
 
-    return _record(out, (x,), bw)
-
-
-def spatial_std(x: DiffArray) -> DiffArray:
-    """(B, C, H, W) -> (B, C) population std over the spatial positions."""
-    if x.ndim != 4:
-        raise ShapeError(f"spatial_std needs a 4-d map, got {x.shape}")
-    mean = x.values.mean(axis=(2, 3), keepdims=True)
-    var = np.mean((x.values - mean) ** 2, axis=(2, 3))
-    std = np.sqrt(var + EPS_VAR)
-    out = DiffArray(std)
-    hw = x.shape[2] * x.shape[3]
+    u, s are the (B, C) spatial mean and smoothed population std of this
+    exact x, and sm, ss the (C,) smoothed population stds of u and s over
+    the batch, all plain arrays; the backward differentiates through
+    them in closed form.  eps_m, eps_s are (B, C) noise fields.  The
+    caller checks the shapes.
+    """
+    scale = (s + eps_s * ss)[:, :, None, None]
+    shift = (u + eps_m * sm)[:, :, None, None]
+    centered = x.values - u[:, :, None, None]
+    denom = s[:, :, None, None] + eps_div
+    out = DiffArray(scale * (centered / denom) + shift)
+    b, n = x.shape[0], x.shape[2] * x.shape[3]
 
     def bw(g):
-        # d std / d x = (x - mean) / (N * std); the smoothing keeps std > 0
-        scale = g[:, :, None, None] / (hw * std[:, :, None, None])
-        return ((x.values - mean) * scale,)
-
-    return _record(out, (x,), bw)
-
-
-def batch_std(x: DiffArray) -> DiffArray:
-    """(B, C) -> (C,) population std over the batch."""
-    if x.ndim != 2:
-        raise ShapeError(f"batch_std needs a 2-d operand, got {x.shape}")
-    mean = x.values.mean(axis=0, keepdims=True)
-    var = np.mean((x.values - mean) ** 2, axis=0)
-    std = np.sqrt(var + EPS_VAR)
-    out = DiffArray(std)
-    n = x.shape[0]
-
-    def bw(g):
-        scale = g[None, :] / (n * std[None, :])
-        return ((x.values - mean) * scale,)
+        # every divisor is at least 1e-6: s, sm and ss carry the variance
+        # smoothing and denom adds eps_div, so no DegenerateDenominator guard
+        a = scale / denom
+        keep = 1.0 - a[:, :, 0, 0]
+        g_sum = g.sum(axis=(2, 3))
+        gn_sum = (g * centered / denom).sum(axis=(2, 3))
+        # d loss / d u and d loss / d s, the batch stds sm, ss included
+        gu = (g_sum * keep + (u - u.mean(axis=0))
+              * (eps_m * g_sum).sum(axis=0) / (b * sm))
+        gs = (gn_sum * keep + (s - s.mean(axis=0))
+              * (eps_s * gn_sum).sum(axis=0) / (b * ss))
+        return (g * a + (gu / n)[:, :, None, None]
+                + centered * (gs / (n * s))[:, :, None, None],)
 
     return _record(out, (x,), bw)
 

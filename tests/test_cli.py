@@ -346,15 +346,18 @@ def test_gradient_overflow_exits_3(data_dir, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("cell, what", [
     ("-1", "negative label -1"), ("nan", "non-finite feature"),
-    ("-inf", "non-finite feature")], ids=["label", "nan", "inf"])
+    ("-inf", "non-finite feature"),
+    ("99999999999999999999",
+     "label 99999999999999999999 does not fit in int64")],
+    ids=["label", "nan", "inf", "int64-label"])
 def test_bad_data_row_exits_4(data_dir, tmp_path, capsys, command, cell,
                               what):
-    """A negative label or a non-finite feature on line 3 fails at load,
-    naming the file and the line."""
+    """A negative or out-of-int64 label or a non-finite feature on line 3
+    fails at load, naming the file and the line."""
     with open(data_dir["test"]) as f:
         lines = f.read().splitlines()
     cells = lines[2].split(",")
-    cells[-1 if cell == "-1" else 0] = cell
+    cells[-1 if "label" in what else 0] = cell
     lines[2] = ",".join(cells)
     bad = os.path.join(tmp_path, "bad.csv")
     with open(bad, "w") as f:

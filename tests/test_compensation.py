@@ -76,7 +76,7 @@ def test_compensate_matches_scalar_reference():
                 for w in range(4):
                     norm = (feat[b, c, h, w] - u[b, c]) / (s[b, c] + EPS_DIV)
                     expect[b, c, h, w] = scale * norm + shift
-    np.testing.assert_allclose(out, expect, atol=1e-12)
+    np.testing.assert_array_equal(out, expect)
 
 
 def test_perturbation_is_zero_mean_over_draws():

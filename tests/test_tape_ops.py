@@ -1,9 +1,12 @@
-"""Every public tape op in `tensor` has a caller in the library proper,
-outside the autodiff core and its finite-difference audit (a stdlib
-stand-in for a linter's dead-code rule)."""
+"""The tape-op inventory of `tensor`: every public op has a caller in the
+library proper, outside the autodiff core and its finite-difference audit
+(a stdlib stand-in for a linter's dead-code rule), and a gradcheck case."""
 
 import ast
 import os
+
+import uqtrain.tensor as T
+from uqtrain.gradcheck import _op_cases
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                    "src", "uqtrain")
@@ -37,9 +40,25 @@ def tensor_references(name) -> set[str]:
 
 def test_every_tape_op_has_a_library_caller():
     ops = tape_ops()
-    assert {"add", "matmul", "spatial_std", "log_softmax"} <= ops
+    assert {"add", "matmul", "perturb_stats", "log_softmax"} <= ops
     used = set()
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py") and name not in CORE:
             used |= tensor_references(name)
     assert ops - used == set()
+
+
+def test_every_tape_op_has_a_gradcheck_case(monkeypatch):
+    recorded = set()
+    record = T._record
+
+    def spy(out, inputs, backward):
+        recorded.add(backward.__qualname__.split(".", 1)[0])
+        return record(out, inputs, backward)
+
+    monkeypatch.setattr(T, "_record", spy)
+    for _, f, arrays in _op_cases(0):
+        T.check_gradients(f, arrays)
+    ops = tape_ops()
+    assert {"add", "matmul", "perturb_stats", "log_softmax"} <= ops
+    assert ops <= recorded, f"no gradcheck case for {sorted(ops - recorded)}"

@@ -180,9 +180,9 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
 
 
 # tape nodes of one train step at the default architecture
-NODES_PER_STEP = {"baseline": 23, "compensation": 57, "compensation+pos": 68,
-                  "compensation+neg": 68, "compensation+pos+neg": 74,
-                  "full": 88}
+NODES_PER_STEP = {"baseline": 23, "compensation": 25, "compensation+pos": 36,
+                  "compensation+neg": 36, "compensation+pos+neg": 42,
+                  "full": 56}
 
 
 @pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
