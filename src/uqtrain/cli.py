@@ -93,7 +93,7 @@ def cmd_synth(args) -> int:
     if args.domains >= 2:
         pool = shift_domain(pool, args.domains, args.seed)
     train, test = split_dataset(pool, args.train_size)
-    if args.noise_ratio > 0:
+    if args.noise_ratio != 0:   # NaN and negatives reach the range check
         train = corrupt_labels(train, NoiseSpec(ratio=args.noise_ratio,
                                                 seed=args.noise_seed))
     save_dataset(train, args.train_out)

@@ -7,6 +7,7 @@ declaration order with repr floats, so echo -> parse reproduces the
 config bitwise.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -53,6 +54,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 2")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
+        for key in ("lr", "weight_decay", "head_lr_multiplier",
+                    "triplet_weight", "margin"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got "
+                                  f"{getattr(self, key)!r}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.weight_decay < 0:

@@ -79,8 +79,9 @@ def make_blobs(n_classes: int, n_features: int, n_samples: int,
         raise ContractError("need at least 2 samples per class")
     if n_features < 1:
         raise ContractError("need at least 1 feature")
-    if spread < 0:
-        raise ContractError(f"spread must be non-negative, got {spread}")
+    if not 0 <= spread < np.inf:
+        raise ContractError(f"spread must be finite and non-negative, got "
+                            f"{spread}")
 
     rng = keyed_rng(seed, STREAM_DATA, 0)
     centers = None

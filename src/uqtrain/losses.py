@@ -5,6 +5,10 @@ partners using weights derived from the predicted sigmas, the blend is
 classified, and the classification loss charges the blended features
 with all three participating labels.  A squared-distance triplet term
 on the raw means shapes the embedding geometry directly.
+
+The blend and the triplet term each record one tape node
+(tensor.mix_partners and tensor.triplet_hinge) with a closed-form
+backward; the cross entropy is composed from the generic ops.
 """
 
 from dataclasses import dataclass
@@ -49,7 +53,8 @@ def mixup(u: UncertainBatch, plan: TripletPlan | None,
     Each branch's weight is its own sigma divided by the sum of
     participating sigmas.  Rows where plan.valid_mask is False (or when
     both partner branches are switched off) degrade to the identity
-    blend.
+    blend.  The blend is one tensor.mix_partners node; the identity path
+    records nothing.
     """
     b, d = u.mean.shape
     zeros = T.constant(np.zeros((b, d)))
@@ -59,32 +64,11 @@ def mixup(u: UncertainBatch, plan: TripletPlan | None,
                              w_self=T.constant(np.ones((b, d))),
                              w_pos=zeros, w_neg=zeros)
 
-    if plan.pos_index.shape != (b,) or plan.neg_index.shape != (b,):
-        raise ShapeError("triplet plan does not match batch size")
-
     partners = _partners(plan, include_pos, include_neg)
-    sigmas = [T.take_rows(u.sigma, index) for _, index in partners]
-    denom = u.sigma
-    for sigma in sigmas:
-        denom = T.add(denom, sigma)
-
-    w_self = T.div(u.sigma, denom)
-    weights = [T.div(sigma, denom) for sigma in sigmas]
-
-    mixed = T.mul(w_self, u.mean)
-    for (_, index), w in zip(partners, weights):
-        mixed = T.add(mixed, T.mul(w, T.take_rows(u.mean, index)))
-
-    # degrade invalid rows to the identity blend
-    keep = np.repeat(plan.valid_mask.astype(np.float64)[:, None], d, axis=1)
-    drop = 1.0 - keep
-    features = T.add(T.mul(T.constant(keep), mixed),
-                     T.mul(T.constant(drop), u.mean))
-
-    reported = {name: T.constant(keep * w.values)
-                for (name, _), w in zip(partners, weights)}
-    return MixedFeatures(features=features,
-                         w_self=T.constant(keep * w_self.values + drop),
+    features, (w_self, *weights) = T.mix_partners(
+        u.mean, u.sigma, [index for _, index in partners], plan.valid_mask)
+    reported = {name: T.constant(w) for (name, _), w in zip(partners, weights)}
+    return MixedFeatures(features=features, w_self=T.constant(w_self),
                          w_pos=reported.get("pos", zeros),
                          w_neg=reported.get("neg", zeros))
 
@@ -131,20 +115,12 @@ def triplet_loss(u: UncertainBatch, plan: TripletPlan,
 
     sum_i max(||mu_i - mu_pos||^2 - ||mu_i - mu_neg||^2 + margin, 0)
     over the valid rows; a sum, not a mean, so each extra violating
-    triplet adds its full cost.
+    triplet adds its full cost.  One tensor.triplet_hinge node.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise ContractError(f"margin must be non-negative, got {margin}")
-    b = u.mean.shape[0]
-    if plan.pos_index.shape != (b,):
-        raise ShapeError("triplet plan does not match batch size")
-    d_pos = T.sub(u.mean, T.take_rows(u.mean, plan.pos_index))
-    d_neg = T.sub(u.mean, T.take_rows(u.mean, plan.neg_index))
-    sq_pos = T.row_sum(T.mul(d_pos, d_pos))
-    sq_neg = T.row_sum(T.mul(d_neg, d_neg))
-    hinge = T.relu(T.add(T.sub(sq_pos, sq_neg), T.constant(float(margin))))
-    keep = T.constant(plan.valid_mask.astype(np.float64))
-    return T.total_sum(T.mul(hinge, keep))
+    return T.triplet_hinge(u.mean, plan.pos_index, plan.neg_index,
+                           plan.valid_mask, float(margin))
 
 
 @dataclass

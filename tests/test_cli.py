@@ -245,6 +245,32 @@ def test_divergent_run_exits_3(data_dir, tmp_path, capsys):
     assert "numerical divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["lr", "weight_decay", "head_lr_multiplier",
+                                   "triplet_weight", "margin"])
+def test_non_finite_setting_exits_2(data_dir, tmp_path, capsys, field, value):
+    with np.errstate(all="ignore"):
+        code = main(["train", "--out", os.path.join(tmp_path, "x")]
+                    + fast_args(data_dir)
+                    + [f"--{field.replace('_', '-')}", value])
+    assert code == EXIT_CONFIG
+    assert f"config error: {field} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--noise-ratio", "nan"),
+                                         ("--noise-ratio", "-0.1"),
+                                         ("--spread", "nan"),
+                                         ("--spread", "inf")])
+def test_synth_rejects_bad_generator_setting(tmp_path, capsys, flag, value):
+    train = os.path.join(tmp_path, "t.csv")
+    code = main(["synth", "--train-out", train,
+                 "--test-out", os.path.join(tmp_path, "v.csv"),
+                 "--train-size", "90", "--test-size", "30", flag, value])
+    assert code == EXIT_CONFIG
+    assert flag[2:].replace("-", " ") in capsys.readouterr().err
+    assert not os.path.exists(train)
+
+
 def test_missing_data_file_exits_4(tmp_path, capsys):
     code = main(["train", "--out", os.path.join(tmp_path, "x"),
                  "--data-train", "/nonexistent/a.csv",

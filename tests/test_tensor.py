@@ -86,9 +86,21 @@ def test_untouched_parameter_gets_zero_grad():
     np.testing.assert_array_equal(unused.grad, [0.0])
 
 
-def test_div_raises_on_tiny_denominator():
+def test_mix_partners_raises_on_tiny_denominator():
     with pytest.raises(DegenerateDenominator):
-        T.div(T.constant([1.0]), T.constant([1e-13]))
+        T.mix_partners(T.constant([[1.0], [2.0]]),
+                       T.constant([[1e-13], [-1e-13]]), [[1, 1]], [1, 1])
+
+
+@pytest.mark.parametrize("index", [[[0, 1], [1, 0]], [0, 2], [-1, 0],
+                                   [0, 1, 0]],
+                         ids=["2-d", "past-end", "negative", "too-long"])
+def test_partner_indices_must_be_rows_of_the_batch(index):
+    mean = T.constant(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        T.mix_partners(mean, mean, [index], [1, 1])
+    with pytest.raises(ShapeError):
+        T.triplet_hinge(mean, [0, 1], index, [1, 1], 1.0)
 
 
 def test_matmul_shape_mismatch():
@@ -110,13 +122,17 @@ def test_broadcast_add_and_unbroadcast_grad():
     np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0, 3.0])
 
 
-def test_take_rows_scatter_handles_duplicates():
-    x = T.parameter(np.array([[1.0], [2.0], [3.0]]))
+def test_mix_partners_scatter_handles_duplicate_partners():
+    # equal sigmas give weights of exactly 1/2; row 0 is everyone's partner
+    # but row 2's, so its gradients gather two partner contributions
+    mean = T.parameter(np.array([[1.0], [2.0], [3.0]]))
+    sigma = T.parameter(np.ones((3, 1)))
     with T.Tape() as tape:
-        picked = T.take_rows(x, np.array([0, 0, 2]))
-        loss = T.total_sum(picked)
+        out, _ = T.mix_partners(mean, sigma, [[0, 0, 2]], [1, 1, 1])
+        loss = T.total_sum(out)
     T.backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, [[2.0], [0.0], [1.0]])
+    np.testing.assert_array_equal(mean.grad, [[1.5], [0.5], [1.0]])
+    np.testing.assert_array_equal(sigma.grad, [[-0.25], [0.25], [0.0]])
 
 
 def test_forward_deterministic_bitwise():

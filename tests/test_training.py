@@ -180,9 +180,9 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
 
 
 # tape nodes of one train step at the default architecture
-NODES_PER_STEP = {"baseline": 23, "compensation": 25, "compensation+pos": 36,
-                  "compensation+neg": 36, "compensation+pos+neg": 42,
-                  "full": 56}
+NODES_PER_STEP = {"baseline": 23, "compensation": 25, "compensation+pos": 26,
+                  "compensation+neg": 26, "compensation+pos+neg": 26,
+                  "full": 28}
 
 
 @pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
