@@ -16,6 +16,7 @@ from .errors import (
     GenerationError,
     LabelError,
 )
+from .files import atomic_open
 from .rng import STREAM_DATA, keyed_rng
 
 # how many times center sampling may retry before giving up
@@ -173,8 +174,9 @@ def split_dataset(ds: LabeledDataset,
 
 
 def save_dataset(ds: LabeledDataset, path: str) -> None:
-    """Headerless CSV, feature columns then the integer label column."""
-    with open(path, "w", encoding="ascii") as fh:
+    """Headerless CSV, feature columns then the integer label column,
+    written atomically: an interrupted write leaves the previous file."""
+    with atomic_open(path, encoding="ascii") as fh:
         for row, label in zip(ds.features, ds.labels):
             cells = [repr(float(v)) for v in row]
             cells.append(str(int(label)))

@@ -4,7 +4,9 @@ A Network is a short stack of blocks whose outputs are viewed as small
 (C, H, W) grids (so channel statistics exist even for vector inputs),
 followed by two affine heads on the flattened features: one predicts an
 embedding mean, the other a per-dimension sigma through softplus.  A
-bias-free classifier matrix maps embeddings to class logits.
+bias-free classifier matrix maps embeddings to class logits.  Sigma is
+built only where it is read: by the train steps whose mixup blends
+partners, and by the scoring pass that ranks samples by it.
 
 Checkpoints are a single JSON file.  Parameter buffers are embedded as
 base64 little-endian float64 bytes, so save/load round-trips bitwise.
@@ -55,9 +57,9 @@ class DenseGridBlock:
 class UncertainBatch:
     """Head outputs for one batch: embedding means, sigmas, and labels."""
 
-    mean: T.DiffArray     # (B, d)
-    sigma: T.DiffArray    # (B, d), strictly positive
-    labels: np.ndarray    # (B,) int64
+    mean: T.DiffArray            # (B, d)
+    sigma: T.DiffArray | None    # (B, d), strictly positive; None if unbuilt
+    labels: np.ndarray           # (B,) int64
 
 
 class Network:
@@ -88,9 +90,10 @@ class Network:
         return {"mean_w", "mean_b", "sigma_w", "sigma_b", "classifier"}
 
 
-def head_forward(net: Network, feats: T.DiffArray,
-                 labels: np.ndarray) -> UncertainBatch:
-    """Map flat (B, feature_dim) activations to means and sigmas."""
+def head_forward(net: Network, feats: T.DiffArray, labels: np.ndarray,
+                 with_sigma: bool = True) -> UncertainBatch:
+    """Map flat (B, feature_dim) activations to means and, unless
+    with_sigma is False, sigmas."""
     if feats.ndim != 2:
         raise ShapeError(f"head_forward needs 2-d features, got {feats.shape}")
     if feats.shape[1] != net.mean_w.shape[0]:
@@ -101,8 +104,10 @@ def head_forward(net: Network, feats: T.DiffArray,
         raise ShapeError(f"labels shape {labels.shape} does not match batch "
                          f"{feats.shape[0]}")
     mean = T.add(T.matmul(feats, net.mean_w), net.mean_b)
-    raw = T.add(T.matmul(feats, net.sigma_w), net.sigma_b)
-    sigma = T.add(T.softplus(raw), T.constant(SIGMA_FLOOR))
+    sigma = None
+    if with_sigma:
+        raw = T.add(T.matmul(feats, net.sigma_w), net.sigma_b)
+        sigma = T.add(T.softplus(raw), T.constant(SIGMA_FLOOR))
     return UncertainBatch(mean=mean, sigma=sigma, labels=labels)
 
 

@@ -1,6 +1,7 @@
 """Synthetic data generation, label corruption, and the tabular format."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,6 +154,29 @@ def test_dataset_file_is_headerless_csv(tmp_path):
     assert len(first) == 4            # 3 features + 1 label
     float(first[0])                   # decimal-dot parse must succeed
     assert first[3] == str(ds.labels[0])
+
+
+def test_failed_dataset_write_keeps_previous_file(tmp_path):
+    """A save_dataset that dies after writing some rows leaves the old
+    file's bytes and no temp file."""
+    ds = make_blobs(3, 5, 30, 1.0, seed=14)
+    path = os.path.join(tmp_path, "ds.csv")
+    save_dataset(ds, path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    class Unwritable:
+        def __int__(self):
+            raise OSError("disk full")
+
+    # five rows are written before the sixth label raises
+    broken = SimpleNamespace(features=ds.features[::-1],
+                             labels=[*ds.labels[:5], Unwritable()])
+    with pytest.raises(OSError, match="disk full"):
+        save_dataset(broken, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["ds.csv"]
 
 
 def test_load_rejects_malformed_rows(tmp_path):

@@ -14,6 +14,30 @@ def test_relu_forward_values():
     np.testing.assert_array_equal(out.values, [0.0, 0.0, 2.0])
 
 
+# zero, signed zero, tiny, unit, either side of where softplus(x) rounds
+# to x or to exp(x) (36-37), the edge of exp's range, the largest values
+SOFTPLUS_POINTS = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 36.0, -36.0,
+                   37.0, -37.0, 709.0, -709.0, 1e308, -1e308]
+
+
+def test_softplus_forward_matches_logaddexp():
+    x = np.array(SOFTPLUS_POINTS)
+    out = T.softplus(T.constant(x)).values
+    np.testing.assert_allclose(out, np.logaddexp(0.0, x), rtol=1e-15, atol=0)
+
+
+def test_softplus_backward_is_the_logistic_sigmoid_bitwise():
+    x = np.concatenate([SOFTPLUS_POINTS, np.linspace(-40.0, 40.0, 801)])
+    p = T.parameter(x)
+    with T.Tape() as tape:
+        loss = T.total_sum(T.softplus(p))
+    T.backward(loss, tape)
+    sig = np.where(x >= 0.0,
+                   1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert p.grad.tobytes() == sig.tobytes()
+
+
 def test_matmul_identity_returns_operand():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 5))

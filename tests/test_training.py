@@ -1,5 +1,7 @@
 """Optimizer, batch sampler, training loop, and evaluation metrics."""
 
+import copy
+import csv
 import os
 from dataclasses import replace
 
@@ -180,7 +182,7 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
 
 
 # tape nodes of one train step at the default architecture
-NODES_PER_STEP = {"baseline": 23, "compensation": 25, "compensation+pos": 26,
+NODES_PER_STEP = {"baseline": 19, "compensation": 21, "compensation+pos": 26,
                   "compensation+neg": 26, "compensation+pos+neg": 26,
                   "full": 28}
 
@@ -188,9 +190,9 @@ NODES_PER_STEP = {"baseline": 23, "compensation": 25, "compensation+pos": 26,
 @pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
                          ids=[tag for tag, _ in ABLATION_LADDER])
 def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
-    """Only what a loss differentiates goes on the tape.  Without a
-    partner branch no loss reads sigma, so the four sigma-head nodes are
-    the only dead ones; they stay because evaluation ranks by sigma."""
+    """Only what a loss differentiates goes on the tape: without a
+    partner branch no loss reads sigma, and the step builds no sigma
+    head, so no variant records a node that gets no gradient."""
     ds = make_blobs(4, 10, 128, 1.0, seed=0)
     cfg = replace(TrainConfig(), **overrides)
     net = build_vector_network(10, 4, cfg.embed_dim,
@@ -198,8 +200,8 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     seen = {}
     real_head, real_backward = training.head_forward, T.backward
 
-    def spy_head(*args):
-        seen["u"] = real_head(*args)
+    def spy_head(*args, **kwargs):
+        seen["u"] = real_head(*args, **kwargs)
         return seen["u"]
 
     def spy_backward(loss, tape):
@@ -220,12 +222,55 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     train_step(net, ds.features, ds.labels, cfg, Adam(net.parameters()),
                0, 0)
     assert seen["count"] == NODES_PER_STEP[tag]
-    dead = seen["dead"]
-    if cfg.use_positive_branch or cfg.use_negative_branch:
-        assert dead == []
-    else:
-        assert [op for op, _ in dead] == ["matmul", "add", "softplus", "add"]
-        assert dead[-1][1] is seen["u"].sigma
+    assert seen["dead"] == []
+    partners = cfg.use_positive_branch or cfg.use_negative_branch
+    assert (seen["u"].sigma is not None) == partners
+
+
+def test_parameter_off_the_tape_steps_with_a_zero_gradient():
+    """A baseline step after a full-method step builds no sigma head; the
+    sigma parameters must then step as with an explicit zero gradient,
+    not with the gradient the full-method step left behind."""
+    ds = make_blobs(4, 10, 64, 1.0, seed=0)
+    full = TrainConfig()
+    baseline = replace(full, **dict(ABLATION_LADDER)["baseline"])
+    net = build_vector_network(10, 4, full.embed_dim,
+                               [full.parse_grid()] * full.num_blocks,
+                               full.seed)
+    opt = Adam(net.parameters())
+    train_step(net, ds.features, ds.labels, full, opt, 0, 0)
+    assert np.any(net.sigma_w.grad != 0.0)
+
+    ref_net, ref_opt = copy.deepcopy((net, opt))
+    for p in (ref_net.sigma_w, ref_net.sigma_b):
+        p.grad = np.zeros_like(p.values)
+    ref_opt.step(baseline.lr, baseline.weight_decay)
+
+    train_step(net, ds.features, ds.labels, baseline, opt, 0, 1)
+    for name in ("sigma_w", "sigma_b"):
+        got, want = getattr(net, name), getattr(ref_net, name)
+        assert got.values.tobytes() == want.values.tobytes(), name
+
+
+def test_train_acc_column_equals_evaluate_accuracy(monkeypatch, tmp_path):
+    """fit's train pass skips the sigma head and the rejection ranking;
+    each epoch's train_acc must still be evaluate's accuracy on the
+    train set for the weights of that epoch."""
+    train, test = small_data(seed=7)
+    cfg = small_config(epochs=3)
+    expected = []
+    real_accuracy = training.accuracy
+
+    def spy_accuracy(net, ds):
+        expected.append(evaluate(net, train, cfg).accuracy)
+        return real_accuracy(net, ds)
+
+    monkeypatch.setattr(training, "accuracy", spy_accuracy)
+    run_experiment(cfg, train, test, out_dir=str(tmp_path), tag="run")
+    with open(os.path.join(tmp_path, "run_metrics.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(expected) == cfg.epochs
+    assert [float(row["train_acc"]) for row in rows] == expected
 
 
 def test_three_epoch_replay_is_bitwise_identical():
