@@ -3,13 +3,15 @@
 Builds a few expressions out of the differentiable ops, runs backward,
 and checks the gradients against central finite differences.  Nothing
 here is training-specific; the point is that the tape gives correct
-gradients for every op the rest of the package composes.
+gradients for every op the rest of the package composes.  Scalars come
+from gradcheck.weighted_sum, sum(x * w) built from reshape and matmul.
 """
 
 import numpy as np
 
 import uqtrain.tensor as T
 from uqtrain.compensation import compensate, draw_perturbation
+from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import build_vector_network
 from uqtrain.stats import layer_stats
 
@@ -19,10 +21,12 @@ def scalar_chain():
     rng = np.random.default_rng(0)
     x = T.parameter(rng.standard_normal((4, 5)))
     w = T.parameter(rng.standard_normal((5, 3)))
+    ones = np.ones((4, 3))
 
     def f(arrays):
         xx, ww = arrays
-        return T.scalar_mul(1.0 / 3.0, T.total_sum(T.relu(T.matmul(xx, ww))))
+        return T.scalar_mul(1.0 / 3.0,
+                            weighted_sum(T.relu(T.matmul(xx, ww)), ones))
 
     err = T.check_gradients(f, [x, w])
     print(f"matmul/relu chain, worst relative gradient error: {err:.2e}")
@@ -32,7 +36,7 @@ def gradient_accumulation():
     # using a value twice must add both contributions
     x = T.parameter(np.array([2.0, -1.0]))
     with T.Tape() as tape:
-        y = T.total_sum(T.add(T.mul(x, x), x))   # x^2 + x
+        y = T.add(weighted_sum(x, x), weighted_sum(x, np.ones(2)))  # x^2 + x
     T.backward(y, tape)
     print(f"d/dx sum(x^2 + x) at {x.values}: {x.grad} (expect 2x + 1)")
 
@@ -48,12 +52,11 @@ def grid_statistics():
     x = T.constant(rng.standard_normal((4, 5)))
     draw = draw_perturbation(4, 2, seed=1, epoch=0, batch_index=0,
                              layer_index=1)
-    w = T.constant(rng.standard_normal((4, 2, 2, 3)))
+    w = rng.standard_normal((4, 2, 2, 3))
 
     def f(arrays):
         grid = block.apply(x)
-        return T.total_sum(T.mul(compensate(grid, layer_stats(grid), draw),
-                                 w))
+        return weighted_sum(compensate(grid, layer_stats(grid), draw), w)
 
     with T.Tape() as tape:
         f(None)
@@ -63,10 +66,14 @@ def grid_statistics():
 
 
 def stability_check():
-    # log_softmax survives logits far outside the exp range
-    big = T.constant(np.array([[1000.0, 999.0, 998.0]]))
-    ls = T.log_softmax(big)
-    print(f"log_softmax at logits ~1000: {np.round(ls.values, 4)}")
+    # the classification loss survives logits far outside the exp range:
+    # one sample, logits 1000, 999 and 998, labelled with the middle class
+    feats = T.constant(np.array([[1.0]]))
+    classifier = T.constant(np.array([[1000.0], [999.0], [998.0]]))
+    ce = T.class_cross_entropy(feats, classifier, [[0.0, 1.0, 0.0]])
+    print(f"cross entropy at logits ~1000: {float(ce.values):.4f} "
+          f"(expect 1 + log(1 + e^-1 + e^-2) = "
+          f"{1 + np.log(1 + np.exp(-1) + np.exp(-2)):.4f})")
 
 
 if __name__ == "__main__":

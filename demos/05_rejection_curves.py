@@ -31,7 +31,7 @@ def main():
     result = run_experiment(cfg, noisy, test)
 
     rates = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
-    report = evaluate(result.net, test, cfg, rates=rates)
+    report = evaluate(result.net, test, rates=rates)
 
     print("rejection rate   retained   accuracy")
     n = len(test)
@@ -45,7 +45,7 @@ def main():
     print(f"mean sigma on wrong predictions:   "
           f"{report.mean_sigma_wrong:.4f}")
 
-    preds, scores = predict(result.net, test.features, cfg)
+    preds, scores = predict(result.net, test.features)
     worst = np.argsort(-scores)[:5]
     print(f"\nfive most distrusted samples: indices {worst.tolist()}")
     print(f"their predictions: {preds[worst].tolist()}, "

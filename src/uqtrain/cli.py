@@ -143,7 +143,7 @@ def _load_scored(args):
 
 def cmd_eval(args) -> int:
     net, ds = _load_scored(args)
-    report = evaluate(net, ds, TrainConfig())
+    report = evaluate(net, ds)
     rows = _report_rows(report)
     for name, value in rows:
         print(f"{name} = {value}")
@@ -162,7 +162,7 @@ def cmd_reject_curve(args) -> int:
                           f"{args.rates!r}") from None
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ConfigError("rejection rates must be in [0, 1)")
-    preds, scores = predict(net, ds.features, TrainConfig())
+    preds, scores = predict(net, ds.features)
     accs = rejection_accuracies(preds == ds.labels, scores, rates)
     rows = [(r, accs[r], len(ds) - int(np.floor(r * len(ds))))
             for r in rates]

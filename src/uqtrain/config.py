@@ -170,7 +170,7 @@ def load_config_file(path: str, cfg: TrainConfig | None = None) -> TrainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config_text(text, cfg)
 

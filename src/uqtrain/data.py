@@ -29,13 +29,11 @@ DOMAIN_SHIFT_RANGE = (-1.0, 1.0)
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix plus labels; optionally the pre-corruption labels
-    and a per-sample domain id."""
+    """Feature matrix plus labels; optionally the pre-corruption labels."""
 
     features: np.ndarray            # (N, D) float64
     labels: np.ndarray              # (N,) int64
     clean_labels: np.ndarray | None = None
-    domain_id: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -128,9 +126,7 @@ def corrupt_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
 
     clean = ds.clean_labels if ds.clean_labels is not None else ds.labels
     return LabeledDataset(features=ds.features.copy(), labels=new_labels,
-                          clean_labels=clean.copy(),
-                          domain_id=None if ds.domain_id is None
-                          else ds.domain_id.copy())
+                          clean_labels=clean.copy())
 
 
 def shift_domain(ds: LabeledDataset, n_domains: int,
@@ -139,19 +135,17 @@ def shift_domain(ds: LabeledDataset, n_domains: int,
     per-feature affine distortion.  Labels are untouched."""
     if n_domains < 2:
         raise ContractError(f"need at least 2 domains, got {n_domains}")
-    n, d = ds.features.shape
+    d = ds.features.shape[1]
     rng = keyed_rng(seed, STREAM_DATA, 2)
-    domain_id = np.arange(n, dtype=np.int64) % n_domains
     features = ds.features.copy()
     for dom in range(n_domains):
         scale = rng.uniform(*DOMAIN_SCALE_RANGE, size=d)
         shift = rng.uniform(*DOMAIN_SHIFT_RANGE, size=d)
-        rows = domain_id == dom
+        rows = slice(dom, None, n_domains)   # rows i with i % n_domains == dom
         features[rows] = features[rows] * scale + shift
     return LabeledDataset(features=features, labels=ds.labels.copy(),
                           clean_labels=None if ds.clean_labels is None
-                          else ds.clean_labels.copy(),
-                          domain_id=domain_id)
+                          else ds.clean_labels.copy())
 
 
 def split_dataset(ds: LabeledDataset,
@@ -166,9 +160,7 @@ def split_dataset(ds: LabeledDataset,
             features=ds.features[sl].copy(),
             labels=ds.labels[sl].copy(),
             clean_labels=None if ds.clean_labels is None
-            else ds.clean_labels[sl].copy(),
-            domain_id=None if ds.domain_id is None
-            else ds.domain_id[sl].copy())
+            else ds.clean_labels[sl].copy())
 
     return take(slice(0, n_train)), take(slice(n_train, len(ds)))
 
@@ -218,7 +210,7 @@ def load_dataset(path: str) -> LabeledDataset:
                         f"{path}:{lineno}: label {labels[-1]} does not fit "
                         "in int64")
                 linenos.append(lineno)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataFormatError(f"cannot read dataset {path}: {e}") from e
     if not feats:
         raise DataFormatError(f"{path}: empty dataset")

@@ -8,7 +8,9 @@ frozen at the base point, since index selection is not part of the
 differentiable surface.
 
 The op outputs are reduced to scalars through a fixed random weighting,
-sum(out * W), so elementwise gradient errors cannot cancel.
+sum(out * W), so elementwise gradient errors cannot cancel.  The
+reduction, weighted_sum, is itself built from tape ops (reshape and
+matmul), so it needs no op of its own.
 """
 
 import numpy as np
@@ -26,14 +28,23 @@ REL_TOL = 1e-4
 FD_STEP = 1e-4
 
 
+def weighted_sum(x: T.DiffArray, w) -> T.DiffArray:
+    """sum(x * w) as a scalar on the tape, for w a DiffArray or a plain
+    array of x's shape: reshape(matmul(reshape(x, (1, n)), w_col), ())."""
+    w = w if isinstance(w, T.DiffArray) else T.constant(w)
+    n = x.size
+    return T.reshape(T.matmul(T.reshape(x, (1, n)), T.reshape(w, (n, 1))),
+                     ())
+
+
 def _make_case(name, op_fn, arrays, rng):
     """Freeze a random output weighting so f is deterministic across the
     repeated evaluations finite differencing needs."""
     probe = op_fn(arrays)
-    w = T.constant(rng.standard_normal(probe.shape))
+    w = rng.standard_normal(probe.shape)
 
     def f(ars):
-        return T.total_sum(T.mul(op_fn(ars), w))
+        return weighted_sum(op_fn(ars), w)
 
     return name, f, arrays
 
@@ -47,15 +58,17 @@ def _op_cases(seed: int):
         return (P(rng.standard_normal(shape_a)),
                 P(rng.standard_normal(shape_b)))
 
+    # skip(n) draws the n normals a deleted case drew, so every case after
+    # it keeps the inputs it has always been audited on
+    skip = rng.standard_normal
+
     yield _make_case("add", lambda ars: T.add(ars[0], ars[1]),
                      list(pair((3, 4), (3, 4))), rng)
-    yield _make_case("mul", lambda ars: T.mul(ars[0], ars[1]),
-                     list(pair((3, 4), (3, 4))), rng)
+    skip(36)   # mul
 
     yield _make_case("add_broadcast", lambda ars: T.add(ars[0], ars[1]),
                      list(pair((3, 4), (4,))), rng)
-    yield _make_case("mul_broadcast", lambda ars: T.mul(ars[0], ars[1]),
-                     list(pair((3, 1), (3, 4))), rng)
+    skip(27)   # mul_broadcast
 
     yield _make_case("scalar_mul", lambda ars: T.scalar_mul(1.7, ars[0]),
                      [P(rng.standard_normal((3, 4)))], rng)
@@ -66,13 +79,10 @@ def _op_cases(seed: int):
 
     yield _make_case("matmul", lambda ars: T.matmul(ars[0], ars[1]),
                      list(pair((3, 4), (4, 2))), rng)
-    yield _make_case("transpose", lambda ars: T.transpose(ars[0]),
-                     [P(rng.standard_normal((3, 4)))], rng)
+    skip(24)   # transpose
     yield _make_case("reshape", lambda ars: T.reshape(ars[0], (2, 6)),
                      [P(rng.standard_normal((3, 4)))], rng)
-
-    yield "sum", (lambda ars: T.total_sum(ars[0])), \
-        [P(rng.standard_normal((3, 4)))]
+    skip(12)   # sum
 
     # the smallest map layer_stats accepts: 2 samples of 2 positions
     noise = PerturbationDraw(eps_mean=rng.standard_normal((2, 3)),
@@ -82,8 +92,7 @@ def _op_cases(seed: int):
                                             noise),
                      [P(rng.standard_normal((2, 3, 1, 2)))], rng)
 
-    yield _make_case("log_softmax", lambda ars: T.log_softmax(ars[0]),
-                     [P(rng.standard_normal((3, 4)))], rng)
+    skip(24)   # log_softmax
 
     # sigmas >= 0.5 keep the weights' FD quotients well behaved; with two
     # partners row 0 is a partner three times over and row 2 is not mixed
@@ -101,6 +110,14 @@ def _op_cases(seed: int):
     tri = ([1, 2, 3, 0], [2, 0, 1, 2], [1, 1, 0, 1], 1.0)
     yield _make_case("triplet_hinge", lambda a: T.triplet_hinge(a[0], *tri),
                      [P(base + 0.1 * rng.standard_normal((4, 2)))], rng)
+
+    # target counts as ce_loss builds them: a row may carry one label
+    # several times, and several labels
+    counts = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0],
+                       [1.0, 1.0, 1.0, 0.0]])
+    yield _make_case("class_cross_entropy",
+                     lambda ars: T.class_cross_entropy(ars[0], ars[1], counts),
+                     list(pair((3, 5), (4, 5))), rng)
 
 
 def end_to_end_case(seed: int):

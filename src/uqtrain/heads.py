@@ -111,8 +111,8 @@ def head_forward(net: Network, feats: T.DiffArray, labels: np.ndarray,
     return UncertainBatch(mean=mean, sigma=sigma, labels=labels)
 
 
-def class_logits(net: Network, embeddings: T.DiffArray) -> T.DiffArray:
-    return T.matmul(embeddings, T.transpose(net.classifier))
+def class_logits(net: Network, embeddings: np.ndarray) -> np.ndarray:
+    return embeddings @ net.classifier.values.T
 
 
 def uncertainty_score(u: UncertainBatch) -> np.ndarray:
@@ -212,7 +212,7 @@ def load_checkpoint(path: str) -> tuple[Network, dict]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataFormatError(f"cannot read checkpoint {path}: {e}") from e
     if not isinstance(payload, dict) \
             or payload.get("format") != CHECKPOINT_FORMAT:

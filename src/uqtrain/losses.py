@@ -6,9 +6,9 @@ classified, and the classification loss charges the blended features
 with all three participating labels.  A squared-distance triplet term
 on the raw means shapes the embedding geometry directly.
 
-The blend and the triplet term each record one tape node
-(tensor.mix_partners and tensor.triplet_hinge) with a closed-form
-backward; the cross entropy is composed from the generic ops.
+The blend, the cross entropy and the triplet term each record one tape
+node (tensor.mix_partners, tensor.class_cross_entropy and
+tensor.triplet_hinge) with a closed-form backward.
 """
 
 from dataclasses import dataclass
@@ -81,7 +81,8 @@ def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,
 
     Every sample is charged with its own label plus, when a valid plan is
     given, the labels of the partners blended into it, so the classifier
-    must explain all ingredients of the mix.  Averaged over the batch.
+    must explain all ingredients of the mix.  Averaged over the batch;
+    one tensor.class_cross_entropy node.
     """
     if mixed.ndim != 2:
         raise ShapeError(f"ce_loss needs 2-d features, got {mixed.shape}")
@@ -104,9 +105,7 @@ def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,
         for _, index in _partners(plan, include_pos, include_neg):
             targets[rows, labels[index[rows]]] += 1.0
 
-    logp = T.log_softmax(T.matmul(mixed, T.transpose(classifier)))
-    picked = T.total_sum(T.mul(T.constant(targets), logp))
-    return T.scalar_mul(-1.0 / b, picked)
+    return T.class_cross_entropy(mixed, classifier, targets)
 
 
 def triplet_loss(u: UncertainBatch, plan: TripletPlan,

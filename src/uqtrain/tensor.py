@@ -7,6 +7,13 @@ nodes that produced its inputs, replaying the list in reverse visits the
 graph in reverse topological order, and a single sweep accumulates exact
 gradients into every leaf.
 
+Six generic ops (add, scalar_mul, relu, softplus, matmul, reshape) build
+the backbone, the heads and the total loss.  Each of the method's other
+steps is one op with a closed-form backward: perturb_stats for a
+compensated layer, mix_partners for the sigma-weighted blend,
+triplet_hinge for the triplet term and class_cross_entropy for the
+classification loss.
+
 Design rules the ops follow:
 
 * all buffers are float64 and ops return fresh arrays (no views escape);
@@ -180,17 +187,6 @@ def add(a: DiffArray, b: DiffArray) -> DiffArray:
     return _record(out, (a, b), bw)
 
 
-def mul(a: DiffArray, b: DiffArray) -> DiffArray:
-    _check_broadcast(a, b, "mul")
-    out = DiffArray(a.values * b.values)
-
-    def bw(g):
-        return (_unbroadcast(g * b.values, a.shape),
-                _unbroadcast(g * a.values, b.shape))
-
-    return _record(out, (a, b), bw)
-
-
 def scalar_mul(c: float, x: DiffArray) -> DiffArray:
     c = float(c)
     out = DiffArray(c * x.values)
@@ -244,17 +240,6 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     return _record(out, (a, b), bw)
 
 
-def transpose(x: DiffArray) -> DiffArray:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d operand, got {x.shape}")
-    out = DiffArray(x.values.T.copy())
-
-    def bw(g):
-        return (g.T.copy(),)
-
-    return _record(out, (x,), bw)
-
-
 def reshape(x: DiffArray, new_shape) -> DiffArray:
     new_shape = tuple(int(d) for d in new_shape)
     if int(np.prod(new_shape, dtype=np.int64)) != x.size:
@@ -264,15 +249,6 @@ def reshape(x: DiffArray, new_shape) -> DiffArray:
 
     def bw(g):
         return (g.reshape(x.shape),)
-
-    return _record(out, (x,), bw)
-
-
-def total_sum(x: DiffArray) -> DiffArray:
-    out = DiffArray(np.asarray(x.values.sum()))
-
-    def bw(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
 
     return _record(out, (x,), bw)
 
@@ -323,19 +299,28 @@ def perturb_stats(x: DiffArray, u, s, sm, ss, eps_m, eps_s,
 # structured ops
 
 
-def log_softmax(x: DiffArray) -> DiffArray:
-    """Rowwise log-softmax of (B, K) logits via the log-sum-exp trick."""
-    if x.ndim != 2:
-        raise ShapeError(f"log_softmax needs a 2-d operand, got {x.shape}")
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    out = DiffArray(shifted - lse)
+def class_cross_entropy(features: DiffArray, classifier: DiffArray,
+                        targets) -> DiffArray:
+    """-(1/B) * sum(targets * log_softmax(features @ classifier^T)) for
+    (B, d) features, a bias-free (K, d) classifier and constant (B, K)
+    target counts.  The log-softmax subtracts each row's largest logit
+    before exp (the log-sum-exp trick), so exp cannot overflow and the
+    log's argument is at least 1.  The caller checks the shapes.
+    """
+    t = np.asarray(targets, dtype=np.float64)
+    w = classifier.values.T
+    logits = features.values @ w
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    c = -1.0 / features.shape[0]
+    out = DiffArray(c * (t * logp).sum())
 
     def bw(g):
-        p = np.exp(out.values)
-        return (g - p * g.sum(axis=1, keepdims=True),)
+        gl = (c * g) * t
+        gl = gl - np.exp(logp) * gl.sum(axis=1, keepdims=True)
+        return gl @ w.T, (features.values.T @ gl).T
 
-    return _record(out, (x,), bw)
+    return _record(out, (features, classifier), bw)
 
 
 def _partner_rows(index, b: int, opname: str) -> np.ndarray:

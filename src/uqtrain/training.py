@@ -197,19 +197,19 @@ def _forward(net: Network, x: np.ndarray, with_sigma: bool):
     feats = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
     u = head_forward(net, feats, np.zeros(x.shape[0], dtype=np.int64),
                      with_sigma=with_sigma)
-    preds = np.argmax(class_logits(net, u.mean).values, axis=1)
+    preds = np.argmax(class_logits(net, u.mean.values), axis=1)
     return preds, u
 
 
 # cfg is unused; the benchmark's output check calls predict(net, x, cfg)
-def predict(net: Network, x: np.ndarray, cfg: TrainConfig):
+def predict(net: Network, x: np.ndarray, cfg: TrainConfig | None = None):
     """Eval-mode forward: returns (predictions, uncertainty scores)."""
     preds, u = _forward(net, x, with_sigma=True)
     return preds, uncertainty_score(u)
 
 
 def accuracy(net: Network, ds: LabeledDataset) -> float:
-    """evaluate(net, ds, cfg).accuracy without building sigma."""
+    """evaluate(net, ds).accuracy without building sigma."""
     preds, _ = _forward(net, ds.features, with_sigma=False)
     return float(np.mean(preds == ds.labels))
 
@@ -233,10 +233,9 @@ def rejection_accuracies(correct: np.ndarray, scores: np.ndarray,
     return out
 
 
-# cfg is unused; it mirrors predict's parameter list (see there)
-def evaluate(net: Network, ds: LabeledDataset, cfg: TrainConfig,
+def evaluate(net: Network, ds: LabeledDataset,
              rates=REJECTION_RATES) -> EvalReport:
-    preds, scores = predict(net, ds.features, cfg)
+    preds, scores = predict(net, ds.features)
     correct = preds == ds.labels
 
     acc_by_rej = rejection_accuracies(correct, scores, rates)
@@ -305,7 +304,7 @@ def fit(net: Network, train_ds: LabeledDataset, test_ds: LabeledDataset,
                               train_ds.labels[batch], cfg, opt, epoch, bidx)
             step += 1
         train_acc = accuracy(net, train_ds)
-        test_report = evaluate(net, test_ds, cfg)
+        test_report = evaluate(net, test_ds)
         history.append(_metrics_row(epoch, step, last.scalars(), train_acc,
                                     test_report))
     return TrainResult(net=net, report=test_report, history=history)

@@ -443,3 +443,45 @@ def test_failed_csv_write_keeps_previous_file(data_dir, tmp_path, capsys,
     with open(target, "rb") as f:
         assert f.read() == before
     assert sorted(os.listdir(folder)) == names
+
+
+@pytest.mark.parametrize("case, code", [
+    ("train-data", EXIT_IO), ("eval-data", EXIT_IO),
+    ("eval-checkpoint", EXIT_IO), ("config", EXIT_CONFIG)])
+def test_undecodable_input_exits_with_its_code(data_dir, tmp_path, capsys,
+                                               case, code):
+    """A non-ASCII byte in a data CSV or checkpoint, or an invalid UTF-8
+    byte in a config file, is a format error naming the file, not a
+    traceback."""
+    ck = os.path.join(tmp_path, "ck.json")
+    save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)] * 2), ck)
+    with open(data_dir["test"], "rb") as f:
+        data = f.read()
+    bad_csv = os.path.join(tmp_path, "bad.csv")
+    with open(bad_csv, "wb") as f:
+        f.write(data.replace(b",", "é,".encode("utf-8"), 1))
+    if case == "train-data":
+        bad = bad_csv
+        args = ["train", "--out", os.path.join(tmp_path, "x")] \
+            + fast_args(dict(data_dir, train=bad))
+    elif case == "eval-data":
+        bad = bad_csv
+        args = ["eval", "--checkpoint", ck, "--data", bad]
+    elif case == "eval-checkpoint":
+        bad = ck
+        with open(ck, "rb") as f:
+            blob = f.read()
+        with open(ck, "wb") as f:
+            f.write(blob.replace(b"uqtrain-checkpoint",
+                                 "uqtrain-checkpointé".encode("utf-8")))
+        args = ["eval", "--checkpoint", ck, "--data", data_dir["test"]]
+    else:
+        bad = os.path.join(tmp_path, "bad.cfg")
+        with open(bad, "wb") as f:
+            f.write(b"seed = 1\n# caf\xe9\n")
+        args = ["train", "--out", os.path.join(tmp_path, "x"),
+                "--config", bad] + fast_args(data_dir)
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert bad in captured.err and "decode" in captured.err
+    assert captured.out == ""

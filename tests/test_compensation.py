@@ -12,6 +12,7 @@ from uqtrain.compensation import (
     forward_with_compensation,
 )
 from uqtrain.errors import ShapeError
+from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import build_vector_network
 from uqtrain.stats import layer_stats
 
@@ -136,7 +137,7 @@ def test_gradient_through_compensation_matches_fd():
 
     def f(ars):
         out = compensate(ars[0], layer_stats(ars[0]), draw)
-        return T.total_sum(T.mul(out, T.constant(weights)))
+        return weighted_sum(out, weights)
 
     assert T.check_gradients(f, [feat]) < 1e-4
 

@@ -109,7 +109,19 @@ def test_shift_domain_deterministic_and_round_robin():
     a = shift_domain(ds, 3, seed=1)
     b = shift_domain(ds, 3, seed=1)
     assert a.features.tobytes() == b.features.tobytes()
-    assert np.array_equal(a.domain_id, np.arange(60) % 3)
+    # rows i and i + 3 share one per-feature affine map; the three maps
+    # are fitted on each domain's first two rows
+    x, y = ds.features, a.features
+    scales = []
+    for dom in range(3):
+        rows = np.arange(dom, 60, 3)
+        scale = (y[rows[1]] - y[rows[0]]) / (x[rows[1]] - x[rows[0]])
+        shift = y[rows[0]] - x[rows[0]] * scale
+        np.testing.assert_allclose(y[rows], x[rows] * scale + shift,
+                                   rtol=1e-9, atol=1e-9)
+        scales.append(scale)
+    assert not np.allclose(scales[0], scales[1])
+    assert not np.allclose(scales[1], scales[2])
     assert np.array_equal(a.labels, ds.labels)
     with pytest.raises(ContractError):
         shift_domain(ds, 1, seed=0)

@@ -6,6 +6,7 @@ import pytest
 import uqtrain.tensor as T
 from uqtrain.compensation import compensate, draw_perturbation
 from uqtrain.errors import ContractError, DegenerateDenominator, ShapeError
+from uqtrain.gradcheck import weighted_sum
 from uqtrain.stats import layer_stats
 
 
@@ -30,7 +31,7 @@ def test_softplus_backward_is_the_logistic_sigmoid_bitwise():
     x = np.concatenate([SOFTPLUS_POINTS, np.linspace(-40.0, 40.0, 801)])
     p = T.parameter(x)
     with T.Tape() as tape:
-        loss = T.total_sum(T.softplus(p))
+        loss = weighted_sum(T.softplus(p), np.ones(x.shape))
     T.backward(loss, tape)
     sig = np.where(x >= 0.0,
                    1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -48,7 +49,7 @@ def test_matmul_identity_returns_operand():
 def test_backward_sum_gives_ones():
     x = T.parameter(np.arange(4.0).reshape(2, 2))
     with T.Tape() as tape:
-        loss = T.total_sum(x)
+        loss = weighted_sum(x, np.ones((2, 2)))
     T.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
 
@@ -57,7 +58,7 @@ def test_backward_half_square_gives_input():
     vals = np.array([[1.0, -2.0], [3.0, 0.5]])
     x = T.parameter(vals)
     with T.Tape() as tape:
-        loss = T.scalar_mul(0.5, T.total_sum(T.mul(x, x)))
+        loss = T.scalar_mul(0.5, weighted_sum(x, x))
     T.backward(loss, tape)
     np.testing.assert_allclose(x.grad, vals, atol=1e-15)
 
@@ -71,7 +72,7 @@ def test_backward_three_layer_composition_matches_fd():
     def f(ars):
         x, w1, w2 = ars
         h = T.relu(T.matmul(x, w1))
-        return T.total_sum(T.softplus(T.matmul(h, w2)))
+        return weighted_sum(T.softplus(T.matmul(h, w2)), np.ones((5, 3)))
 
     assert T.check_gradients(f, arrays) < 1e-4
 
@@ -79,7 +80,7 @@ def test_backward_three_layer_composition_matches_fd():
 def test_backward_requires_scalar_loss():
     x = T.parameter(np.ones(3))
     with T.Tape() as tape:
-        out = T.mul(x, x)
+        out = T.add(x, x)
     with pytest.raises(ContractError):
         T.backward(out, tape)
 
@@ -87,7 +88,7 @@ def test_backward_requires_scalar_loss():
 def test_gradient_of_loss_wrt_itself_is_one():
     x = T.parameter(np.array(2.0))
     with T.Tape() as tape:
-        loss = T.mul(x, x)
+        loss = T.scalar_mul(3.0, x)
     T.backward(loss, tape)
     assert float(loss.grad) == 1.0
 
@@ -95,7 +96,7 @@ def test_gradient_of_loss_wrt_itself_is_one():
 def test_grad_accumulates_when_node_reused():
     x = T.parameter(np.array([3.0]))
     with T.Tape() as tape:
-        loss = T.total_sum(T.add(T.mul(x, x), T.mul(x, x)))
+        loss = weighted_sum(T.add(x, x), x)   # 2 x^2
     T.backward(loss, tape)
     np.testing.assert_allclose(x.grad, [12.0])
 
@@ -104,8 +105,8 @@ def test_untouched_parameter_gets_zero_grad():
     x = T.parameter(np.array([1.0, 2.0]))
     unused = T.parameter(np.array([5.0]))
     with T.Tape() as tape:
-        loss = T.total_sum(x)
-        _ = T.mul(unused, unused)
+        loss = weighted_sum(x, np.ones(2))
+        _ = T.add(unused, unused)
     T.backward(loss, tape)
     np.testing.assert_array_equal(unused.grad, [0.0])
 
@@ -141,7 +142,7 @@ def test_broadcast_add_and_unbroadcast_grad():
     x = T.parameter(np.ones((3, 4)))
     b = T.parameter(np.arange(4.0))
     with T.Tape() as tape:
-        loss = T.total_sum(T.add(x, b))
+        loss = weighted_sum(T.add(x, b), np.ones((3, 4)))
     T.backward(loss, tape)
     np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0, 3.0])
 
@@ -153,7 +154,7 @@ def test_mix_partners_scatter_handles_duplicate_partners():
     sigma = T.parameter(np.ones((3, 1)))
     with T.Tape() as tape:
         out, _ = T.mix_partners(mean, sigma, [[0, 0, 2]], [1, 1, 1])
-        loss = T.total_sum(out)
+        loss = weighted_sum(out, np.ones((3, 1)))
     T.backward(loss, tape)
     np.testing.assert_array_equal(mean.grad, [[1.5], [0.5], [1.0]])
     np.testing.assert_array_equal(sigma.grad, [[-0.25], [0.25], [0.0]])
@@ -163,19 +164,71 @@ def test_forward_deterministic_bitwise():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 12))
     w = rng.standard_normal((12, 48))
+    classifier = rng.standard_normal((3, 48))
     draw = draw_perturbation(4, 3, seed=3, epoch=0, batch_index=0,
                              layer_index=1)
 
     def forward():
         grid = T.reshape(T.matmul(T.constant(x), T.constant(w)), (4, 3, 4, 4))
         out = compensate(grid, layer_stats(grid), draw)
-        return T.log_softmax(T.relu(T.reshape(out, (4, 48)))).values
+        feats = T.relu(T.reshape(out, (4, 48)))
+        return T.class_cross_entropy(feats, T.constant(classifier),
+                                     np.eye(3)[[0, 1, 2, 0]]).values
 
     assert forward().tobytes() == forward().tobytes()
 
 
-def test_log_softmax_is_lse_stable():
-    x = T.constant(np.array([[1000.0, 1000.0, 1000.0]]))
-    out = T.log_softmax(x).values
-    np.testing.assert_allclose(out, np.log(np.ones((1, 3)) / 3), atol=1e-12)
+def generic_chain_cross_entropy(x, classifier, targets):
+    """The loss and both gradients as the generic ops composed them
+    (transpose, matmul, log_softmax, mul with the targets, total_sum,
+    scalar_mul by -1/B), copies and gradient accumulation included."""
+    wt = classifier.T.copy()
+    logits = x @ wt
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    c = -1.0 / x.shape[0]
+    loss = c * np.asarray((targets * logp).sum())
+    g_sum = np.zeros(()) + c * np.ones(())
+    g_prod = np.broadcast_to(g_sum, logp.shape)
+    g_logp = np.zeros(logp.shape) + g_prod * targets
+    g_logits = g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)
+    return loss, g_logits @ wt.T, (x.T @ g_logits).T.copy()
+
+
+@pytest.mark.parametrize("b, d, k", [(3, 5, 4), (128, 64, 4), (37, 8, 10)])
+def test_class_cross_entropy_repeats_the_generic_chain_bitwise(b, d, k):
+    rng = np.random.default_rng(b)
+    x = rng.standard_normal((b, d)) * 3.0
+    classifier = rng.standard_normal((k, d))
+    targets = np.zeros((b, k))
+    for _ in range(3):   # own label plus two blended partners' labels
+        targets[np.arange(b), rng.integers(0, k, b)] += 1.0
+    feats, cls = T.parameter(x), T.parameter(classifier)
+    with T.Tape() as tape:
+        loss = T.class_cross_entropy(feats, cls, targets)
+    assert len(tape.nodes) == 1
+    T.backward(loss, tape)
+    want_loss, want_gx, want_gc = generic_chain_cross_entropy(
+        x, classifier, targets)
+    assert np.array_equal(loss.values, want_loss)
+    assert np.array_equal(feats.grad, want_gx)
+    assert np.array_equal(cls.grad, want_gc)
+
+
+def test_class_cross_entropy_is_stable_at_extreme_logits():
+    # logits of +-1e3 overflow a plain exp; equal ones give log(3)
+    x = T.parameter(np.array([[1.0], [-1.0]]))
+    classifier = T.parameter(np.array([[1e3], [-1e3], [0.0]]))
+    with T.Tape() as tape:
+        loss = T.class_cross_entropy(x, classifier, [[1, 0, 0], [1, 0, 0]])
+    T.backward(loss, tape)
+    # row 0 puts all mass on its label, row 1 puts it on class 1 (logp -2e3)
+    assert float(loss.values) == 1000.0
+    np.testing.assert_array_equal(x.grad, [[0.0], [-1000.0]])
+    np.testing.assert_array_equal(classifier.grad, [[0.5], [-0.5], [0.0]])
+
+    flat = T.class_cross_entropy(T.constant(np.ones((1, 1))),
+                                 T.constant(np.full((3, 1), 1e3)),
+                                 [[1, 0, 0]])
+    np.testing.assert_allclose(flat.values, np.log(3.0), rtol=1e-15)
 
