@@ -4,7 +4,7 @@ Builds a few expressions out of the differentiable ops, runs backward,
 and checks the gradients against central finite differences.  Nothing
 here is training-specific; the point is that the tape gives correct
 gradients for every op the rest of the package composes.  Scalars come
-from gradcheck.weighted_sum, sum(x * w) built from reshape and matmul.
+from gradcheck.weighted_sum, sum(x * w) as one tape node of the audit's.
 """
 
 import numpy as np
@@ -17,19 +17,20 @@ from uqtrain.stats import layer_stats
 
 
 def scalar_chain():
-    # f(x) = sum(relu(x W) / 3), a little two-op pipeline
+    # f(x) = sum(relu(x W + b) / 3), a little two-op pipeline
     rng = np.random.default_rng(0)
     x = T.parameter(rng.standard_normal((4, 5)))
     w = T.parameter(rng.standard_normal((5, 3)))
+    b = T.parameter(rng.standard_normal(3))
     ones = np.ones((4, 3))
 
     def f(arrays):
-        xx, ww = arrays
+        xx, ww, bb = arrays
         return T.scalar_mul(1.0 / 3.0,
-                            weighted_sum(T.relu(T.matmul(xx, ww)), ones))
+                            weighted_sum(T.relu(T.affine(xx, ww, bb)), ones))
 
-    err = T.check_gradients(f, [x, w])
-    print(f"matmul/relu chain, worst relative gradient error: {err:.2e}")
+    err = T.check_gradients(f, [x, w, b])
+    print(f"affine/relu chain, worst relative gradient error: {err:.2e}")
 
 
 def gradient_accumulation():
@@ -42,9 +43,9 @@ def gradient_accumulation():
 
 
 def grid_statistics():
-    # the backbone's blocks are affine layers read as (C, H, W) grids;
-    # compensation jitters their channel statistics in one tape node whose
-    # backward runs through those statistics
+    # the backbone's blocks are affine layers whose flat output is read as
+    # a (C, H, W) grid; compensation jitters its channel statistics in one
+    # tape node whose backward runs through those statistics
     net = build_vector_network(input_dim=5, num_classes=3, embed_dim=4,
                                grids=((2, 2, 3), (2, 2, 3)), seed=1)
     block = net.blocks[0]
@@ -52,17 +53,19 @@ def grid_statistics():
     x = T.constant(rng.standard_normal((4, 5)))
     draw = draw_perturbation(4, 2, seed=1, epoch=0, batch_index=0,
                              layer_index=1)
-    w = rng.standard_normal((4, 2, 2, 3))
+    w = rng.standard_normal((4, 12))
 
     def f(arrays):
-        grid = block.apply(x)
-        return weighted_sum(compensate(grid, layer_stats(grid), draw), w)
+        flat = block.apply(x)
+        grid = T.constant(flat.values.reshape(4, *block.grid))
+        return weighted_sum(compensate(flat, layer_stats(grid), draw), w)
 
     with T.Tape() as tape:
         f(None)
     err = T.check_gradients(f, [block.weight, block.bias])
-    print(f"compensated block grid: {len(tape.nodes)} tape nodes, worst "
-          f"relative gradient error of the block's weights: {err:.2e}")
+    print(f"compensated block: {len(tape.nodes)} tape nodes (affine, "
+          f"perturb_stats, weighted_sum), worst relative gradient error "
+          f"of the block's weights: {err:.2e}")
 
 
 def stability_check():

@@ -27,7 +27,6 @@ from .data import (
     load_dataset,
     make_blobs,
     save_dataset,
-    shift_domain,
     split_dataset,
 )
 from .errors import (
@@ -90,8 +89,6 @@ def cmd_synth(args) -> int:
     total = args.train_size + args.test_size
     pool = make_blobs(args.classes, args.features, total, args.spread,
                       args.seed)
-    if args.domains >= 2:
-        pool = shift_domain(pool, args.domains, args.seed)
     train, test = split_dataset(pool, args.train_size)
     if args.noise_ratio != 0:   # NaN and negatives reach the range check
         train = corrupt_labels(train, NoiseSpec(ratio=args.noise_ratio,
@@ -224,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-ratio", type=float, default=0.0,
                    help="fraction of train labels to flip")
     p.add_argument("--noise-seed", type=int, default=0)
-    p.add_argument("--domains", type=int, default=0,
-                   help="if >= 2, apply per-domain affine shifts")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model")

@@ -14,6 +14,11 @@ with eps_m, eps_s ~ N(0, 1) drawn fresh per step from a keyed stream.
 With eps = 0 this is the identity up to the eps_div smoothing, and in
 expectation it leaves the map unchanged.  The layer is train-only;
 evaluation runs the plain forward pass.
+
+A block's output F stays flat, (B, C * H * W), on the tape.  Its
+(C, H, W) grid is metadata the block carries: the statistics read an
+off-tape (B, C, H, W) view, and the compensation node views F as
+(B, C, H * W).
 """
 
 from dataclasses import dataclass
@@ -50,20 +55,23 @@ def draw_perturbation(batch_size: int, channels: int, seed: int, epoch: int,
 
 def compensate(feat: T.DiffArray, stats,
                draw: PerturbationDraw) -> T.DiffArray:
-    """Apply one compensation step to a (B, C, H, W) map, as one tape node.
+    """Apply one compensation step to a map, as one tape node.  feat is a
+    (B, C, H, W) map or a block's flat (B, C * H * W) output; the result
+    has feat's shape.
 
     stats must be the LayerStats of this exact map: its values are
     constants, and the node's backward differentiates through them in
     closed form, so the network still feels how its own feature
     distribution shifts under the jitter.
     """
-    if feat.ndim != 4:
-        raise ShapeError(f"compensate needs a 4-d map, got {feat.shape}")
-    b, c, _, _ = feat.shape
-    if stats.instance_mean.shape != (b, c):
-        raise ShapeError(
-            f"stats shape {stats.instance_mean.shape} does not match map "
-            f"({b}, {c})")
+    b, c = stats.instance_mean.shape
+    if feat.ndim == 4:
+        fits = feat.shape[:2] == (b, c)
+    else:
+        fits = feat.ndim == 2 and feat.shape[0] == b and feat.shape[1] % c == 0
+    if not fits:
+        raise ShapeError(f"stats shape {(b, c)} does not match map "
+                         f"{feat.shape}")
     if np.shape(draw.eps_mean) != (b, c):
         raise ShapeError(
             f"perturbation shape {np.shape(draw.eps_mean)} does not match "
@@ -82,22 +90,23 @@ def forward_with_compensation(x: T.DiffArray, net,
 
     enabled_layers holds 1-based block indices.  Evaluation passes none:
     then no statistics are computed and no noise is drawn, so the result
-    is bitwise identical to the plain forward pass.  Returns the flat
-    (B, feature_dim) activations that feed the heads.
+    is bitwise identical to the plain forward pass.  Every block output
+    stays flat; the statistics read an off-tape (B, C, H, W) view of it.
+    Returns the flat (B, feature_dim) activations that feed the heads.
     """
     h = x
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
         if k in enabled_layers:
-            st = layer_stats(feat)
-            bsz, ch = feat.shape[0], feat.shape[1]
-            draw = draw_perturbation(bsz, ch, seed, epoch, batch_index, k)
+            bsz = feat.shape[0]
+            st = layer_stats(T.constant(feat.values.reshape(bsz,
+                                                            *block.grid)))
+            draw = draw_perturbation(bsz, block.grid[0], seed, epoch,
+                                     batch_index, k)
             feat = compensate(feat, st, draw)
         # frees the pre-activation map before the block input; measured on
         # a 1000-row eval batch (2 cores, numpy 2.4.6) this order runs the
         # plain forward ~20% faster than `h = T.relu(feat)`
         feat = T.relu(feat)
         h = feat
-    if h.ndim != 2:
-        h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
     return h

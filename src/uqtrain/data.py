@@ -1,4 +1,4 @@
-"""Synthetic datasets: Gaussian blobs, label corruption, domain shift.
+"""Synthetic datasets: Gaussian blobs and label corruption.
 
 Datasets are plain float64 feature matrices with integer labels.  The
 file format is headerless CSV: one row per sample, feature columns then
@@ -21,11 +21,6 @@ from .rng import STREAM_DATA, keyed_rng
 
 # how many times center sampling may retry before giving up
 MAX_CENTER_ATTEMPTS = 1000
-
-# per-feature scale and shift ranges of shift_domain's affine distortions
-DOMAIN_SCALE_RANGE = (0.5, 2.0)
-DOMAIN_SHIFT_RANGE = (-1.0, 1.0)
-
 
 @dataclass
 class LabeledDataset:
@@ -127,25 +122,6 @@ def corrupt_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
     clean = ds.clean_labels if ds.clean_labels is not None else ds.labels
     return LabeledDataset(features=ds.features.copy(), labels=new_labels,
                           clean_labels=clean.copy())
-
-
-def shift_domain(ds: LabeledDataset, n_domains: int,
-                 seed: int) -> LabeledDataset:
-    """Split samples round-robin into domains and give each domain its own
-    per-feature affine distortion.  Labels are untouched."""
-    if n_domains < 2:
-        raise ContractError(f"need at least 2 domains, got {n_domains}")
-    d = ds.features.shape[1]
-    rng = keyed_rng(seed, STREAM_DATA, 2)
-    features = ds.features.copy()
-    for dom in range(n_domains):
-        scale = rng.uniform(*DOMAIN_SCALE_RANGE, size=d)
-        shift = rng.uniform(*DOMAIN_SHIFT_RANGE, size=d)
-        rows = slice(dom, None, n_domains)   # rows i with i % n_domains == dom
-        features[rows] = features[rows] * scale + shift
-    return LabeledDataset(features=features, labels=ds.labels.copy(),
-                          clean_labels=None if ds.clean_labels is None
-                          else ds.clean_labels.copy())
 
 
 def split_dataset(ds: LabeledDataset,

@@ -7,17 +7,25 @@ mixing, both loss terms) is checked end to end with the partner plan
 frozen at the base point, since index selection is not part of the
 differentiable surface.
 
+Each case draws its inputs and output weighting from its own generator,
+keyed by (seed, case name), so adding or deleting a case leaves every
+other case's inputs as they were.  Inputs stay off the kinks and away
+from the near-zero spreads where central differences at FD_STEP lose
+their accuracy.
+
 The op outputs are reduced to scalars through a fixed random weighting,
 sum(out * W), so elementwise gradient errors cannot cancel.  The
-reduction, weighted_sum, is itself built from tape ops (reshape and
-matmul), so it needs no op of its own.
+reduction, weighted_sum, is a tape node of the audit's own.
 """
+
+import zlib
 
 import numpy as np
 
 from . import tensor as T
 from .compensation import (PerturbationDraw, compensate,
                            forward_with_compensation)
+from .errors import ShapeError
 from .heads import build_vector_network, head_forward
 from .losses import ce_loss, mixup, total_loss, triplet_loss
 from .mining import mine_triplets
@@ -30,94 +38,99 @@ FD_STEP = 1e-4
 
 def weighted_sum(x: T.DiffArray, w) -> T.DiffArray:
     """sum(x * w) as a scalar on the tape, for w a DiffArray or a plain
-    array of x's shape: reshape(matmul(reshape(x, (1, n)), w_col), ())."""
+    array of x's shape."""
     w = w if isinstance(w, T.DiffArray) else T.constant(w)
-    n = x.size
-    return T.reshape(T.matmul(T.reshape(x, (1, n)), T.reshape(w, (n, 1))),
-                     ())
+    if x.shape != w.shape:
+        raise ShapeError(f"weighted_sum: shapes {x.shape} and {w.shape} "
+                         "differ")
+    xv, wv = x.values, w.values
+
+    def bw(g):
+        return g * wv, g * xv
+
+    return T._record(T.DiffArray(np.sum(xv * wv)), (x, w), bw)
 
 
-def _make_case(name, op_fn, arrays, rng):
-    """Freeze a random output weighting so f is deterministic across the
-    repeated evaluations finite differencing needs."""
-    probe = op_fn(arrays)
-    w = rng.standard_normal(probe.shape)
+def _case(name, seed, build):
+    """(name, f, arrays) for build(rng) = (op_fn, input arrays), with rng
+    keyed by (seed, name).  The output weighting is frozen so f is
+    deterministic across the repeated evaluations finite differencing
+    needs."""
+    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
+    op_fn, inputs = build(rng)
+    arrays = [T.parameter(a) for a in inputs]
+    w = rng.standard_normal(op_fn(arrays).shape)
+    return name, (lambda ars: weighted_sum(op_fn(ars), w)), arrays
 
-    def f(ars):
-        return weighted_sum(op_fn(ars), w)
 
-    return name, f, arrays
+def _normals(op_fn, *shapes, scale=1.0):
+    return lambda rng: (op_fn, [rng.standard_normal(sh) * scale
+                                for sh in shapes])
+
+
+def _spread_map(rng):
+    """The smallest map layer_stats accepts, 2 samples of 3 channels at 2
+    positions, with every spatial std in [0.25, 2.75] and every batch
+    spread of the means and of the stds at least 0.25."""
+    side = np.array([[-1.0], [1.0]])   # sample 0 below, sample 1 above
+    u = rng.standard_normal(3) + side * rng.uniform(0.25, 1.0, 3)
+    s = rng.uniform(1.0, 2.0, 3) + side * rng.uniform(0.25, 0.75, 3)
+    # the two positions u -+ s have spatial mean u and population std s
+    pair = rng.choice([-1.0, 1.0], (2, 3, 1, 1)) * np.array([-1.0, 1.0])
+    return u[:, :, None, None] + s[:, :, None, None] * pair
+
+
+def _compensated(rng):
+    noise = PerturbationDraw(*rng.standard_normal((2, 2, 3)))
+    return ((lambda ars: compensate(ars[0], layer_stats(ars[0]), noise)),
+            [_spread_map(rng)])
+
+
+def _off_kink(rng):
+    """relu on inputs at least 0.1 from its kink, which a central
+    difference at FD_STEP would straddle."""
+    x = rng.standard_normal((3, 4))
+    return (lambda ars: T.relu(ars[0])), [x + np.copysign(0.1, x)]
 
 
 def _op_cases(seed: int):
     """Yield (name, f, arrays) triples covering every tape op."""
-    rng = np.random.default_rng(seed)
-    P = T.parameter
-
-    def pair(shape_a, shape_b):
-        return (P(rng.standard_normal(shape_a)),
-                P(rng.standard_normal(shape_b)))
-
-    # skip(n) draws the n normals a deleted case drew, so every case after
-    # it keeps the inputs it has always been audited on
-    skip = rng.standard_normal
-
-    yield _make_case("add", lambda ars: T.add(ars[0], ars[1]),
-                     list(pair((3, 4), (3, 4))), rng)
-    skip(36)   # mul
-
-    yield _make_case("add_broadcast", lambda ars: T.add(ars[0], ars[1]),
-                     list(pair((3, 4), (4,))), rng)
-    skip(27)   # mul_broadcast
-
-    yield _make_case("scalar_mul", lambda ars: T.scalar_mul(1.7, ars[0]),
-                     [P(rng.standard_normal((3, 4)))], rng)
-    yield _make_case("relu", lambda ars: T.relu(ars[0]),
-                     [P(rng.standard_normal((3, 4)))], rng)
-    yield _make_case("softplus", lambda ars: T.softplus(ars[0]),
-                     [P(rng.standard_normal((3, 4)) * 2.0)], rng)
-
-    yield _make_case("matmul", lambda ars: T.matmul(ars[0], ars[1]),
-                     list(pair((3, 4), (4, 2))), rng)
-    skip(24)   # transpose
-    yield _make_case("reshape", lambda ars: T.reshape(ars[0], (2, 6)),
-                     [P(rng.standard_normal((3, 4)))], rng)
-    skip(12)   # sum
-
-    # the smallest map layer_stats accepts: 2 samples of 2 positions
-    noise = PerturbationDraw(eps_mean=rng.standard_normal((2, 3)),
-                             eps_std=rng.standard_normal((2, 3)))
-    yield _make_case("perturb_stats",
-                     lambda ars: compensate(ars[0], layer_stats(ars[0]),
-                                            noise),
-                     [P(rng.standard_normal((2, 3, 1, 2)))], rng)
-
-    skip(24)   # log_softmax
+    yield _case("add", seed,
+                _normals(lambda ars: T.add(*ars), (3, 4), (3, 4)))
+    yield _case("scalar_mul", seed,
+                _normals(lambda ars: T.scalar_mul(1.7, ars[0]), (3, 4)))
+    yield _case("relu", seed, _off_kink)
+    yield _case("softplus", seed,
+                _normals(lambda ars: T.softplus(ars[0], 0.5), (3, 4),
+                         scale=2.0))
+    yield _case("affine", seed,
+                _normals(lambda ars: T.affine(*ars), (3, 4), (4, 2), (2,)))
+    yield _case("perturb_stats", seed, _compensated)
 
     # sigmas >= 0.5 keep the weights' FD quotients well behaved; with two
     # partners row 0 is a partner three times over and row 2 is not mixed
     for idx, keep in (([[2, 0, 4, 1, 3]], [1] * 5),
                       ([[1, 0, 0, 4, 0], [2, 3, 4, 0, 2]], [1, 1, 0, 1, 1])):
-        yield _make_case(f"mix_partners_{len(idx)}",
-                         lambda ars, idx=idx, keep=keep:
-                         T.mix_partners(ars[0], ars[1], idx, keep)[0],
-                         [P(rng.standard_normal((5, 3))),
-                          P(rng.uniform(0.5, 2.0, (5, 3)))], rng)
+        yield _case(f"mix_partners_{len(idx)}", seed,
+                    lambda rng, idx=idx, keep=keep: (
+                        lambda ars: T.mix_partners(*ars, idx, keep)[0],
+                        [rng.standard_normal((5, 3)),
+                         rng.uniform(0.5, 2.0, (5, 3))]))
 
     # gaps of about -8, +7, +13 and -8 stay clear of the hinge's kink under
     # the jitter: rows 1 and 2 are active, rows 0 and 3 not, row 2 invalid
     base = np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0], [0.0, 3.0]])
     tri = ([1, 2, 3, 0], [2, 0, 1, 2], [1, 1, 0, 1], 1.0)
-    yield _make_case("triplet_hinge", lambda a: T.triplet_hinge(a[0], *tri),
-                     [P(base + 0.1 * rng.standard_normal((4, 2)))], rng)
+    yield _case("triplet_hinge", seed, lambda rng: (
+        lambda ars: T.triplet_hinge(ars[0], *tri),
+        [base + 0.1 * rng.standard_normal((4, 2))]))
 
     # target counts as ce_loss builds them: a row may carry one label
     # several times, and several labels
     counts = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 3.0, 0.0, 0.0],
                        [1.0, 1.0, 1.0, 0.0]])
-    yield _make_case("class_cross_entropy",
-                     lambda ars: T.class_cross_entropy(ars[0], ars[1], counts),
-                     list(pair((3, 5), (4, 5))), rng)
+    yield _case("class_cross_entropy", seed, _normals(
+        lambda ars: T.class_cross_entropy(*ars, counts), (3, 5), (4, 5)))
 
 
 def end_to_end_case(seed: int):

@@ -1,12 +1,13 @@
 """Network definition, the two-branch uncertainty head, and checkpoints.
 
-A Network is a short stack of blocks whose outputs are viewed as small
-(C, H, W) grids (so channel statistics exist even for vector inputs),
-followed by two affine heads on the flattened features: one predicts an
-embedding mean, the other a per-dimension sigma through softplus.  A
-bias-free classifier matrix maps embeddings to class logits.  Sigma is
-built only where it is read: by the train steps whose mixup blends
-partners, and by the scoring pass that ranks samples by it.
+A Network is a short stack of affine blocks.  Each block's flat output
+is read as a small (C, H, W) grid, so channel statistics exist even for
+vector inputs; the grid is metadata the block carries, not an op on the
+tape.  Two affine heads follow: one predicts an embedding mean, the
+other a per-dimension sigma through softplus.  A bias-free classifier
+matrix maps embeddings to class logits.  Sigma is built only where it is
+read: by the train steps whose mixup blends partners, and by the scoring
+pass that ranks samples by it.
 
 Checkpoints are a single JSON file.  Parameter buffers are embedded as
 base64 little-endian float64 bytes, so save/load round-trips bitwise.
@@ -31,7 +32,8 @@ CHECKPOINT_VERSION = 1
 
 
 class DenseGridBlock:
-    """Affine layer whose output is read as a (C, H, W) grid."""
+    """Affine layer whose flat (B, C * H * W) output is read as a (C, H, W)
+    grid by the statistics that compensation takes."""
 
     def __init__(self, weight: T.DiffArray, bias: T.DiffArray,
                  grid: tuple[int, int, int]):
@@ -46,11 +48,7 @@ class DenseGridBlock:
         self.grid = (c, h, w)
 
     def apply(self, x: T.DiffArray) -> T.DiffArray:
-        if x.ndim == 4:
-            x = T.reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        z = T.add(T.matmul(x, self.weight), self.bias)
-        c, h, w = self.grid
-        return T.reshape(z, (x.shape[0], c, h, w))
+        return T.affine(x, self.weight, self.bias)
 
 
 @dataclass
@@ -94,20 +92,15 @@ def head_forward(net: Network, feats: T.DiffArray, labels: np.ndarray,
                  with_sigma: bool = True) -> UncertainBatch:
     """Map flat (B, feature_dim) activations to means and, unless
     with_sigma is False, sigmas."""
-    if feats.ndim != 2:
-        raise ShapeError(f"head_forward needs 2-d features, got {feats.shape}")
-    if feats.shape[1] != net.mean_w.shape[0]:
-        raise ShapeError(f"feature dim {feats.shape[1]} does not match head "
-                         f"input {net.mean_w.shape[0]}")
+    mean = T.affine(feats, net.mean_w, net.mean_b)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (feats.shape[0],):
         raise ShapeError(f"labels shape {labels.shape} does not match batch "
                          f"{feats.shape[0]}")
-    mean = T.add(T.matmul(feats, net.mean_w), net.mean_b)
     sigma = None
     if with_sigma:
-        raw = T.add(T.matmul(feats, net.sigma_w), net.sigma_b)
-        sigma = T.add(T.softplus(raw), T.constant(SIGMA_FLOOR))
+        sigma = T.softplus(T.affine(feats, net.sigma_w, net.sigma_b),
+                           SIGMA_FLOOR)
     return UncertainBatch(mean=mean, sigma=sigma, labels=labels)
 
 
@@ -136,7 +129,7 @@ def build_vector_network(input_dim: int, num_classes: int,
                          embed_dim: int = 64,
                          grids=((16, 2, 2), (16, 2, 2)),
                          seed: int = 0) -> Network:
-    """Backbone for flat feature vectors: affine blocks viewed as grids."""
+    """Backbone for flat feature vectors: affine blocks read as grids."""
     if num_classes < 2:
         raise ContractError("need at least 2 classes")
     grids = [_parse_grid(g) for g in grids]

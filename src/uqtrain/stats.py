@@ -38,14 +38,15 @@ class LayerStats:
     std_of_stds: T.DiffArray     # (C,)
 
 
-def _std(x, axis):
-    """Population std over axis, smoothed as sqrt(var + EPS_VAR)."""
-    mean = x.mean(axis=axis, keepdims=True)
+def _std(x, mean, axis):
+    """Population std over axis about its already computed mean, smoothed
+    as sqrt(var + EPS_VAR)."""
     return np.sqrt(np.mean((x - mean) ** 2, axis=axis) + EPS_VAR)
 
 
 def layer_stats(feat: T.DiffArray) -> LayerStats:
-    """Both levels of statistics of a (B, C, H, W) map."""
+    """Both levels of statistics of a (B, C, H, W) map.  Each mean is
+    taken once and serves its std too."""
     if feat.ndim != 4:
         raise ShapeError(f"layer_stats needs a 4-d map, got {feat.shape}")
     if feat.shape[2] * feat.shape[3] < 2:
@@ -54,10 +55,13 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
             f"{feat.shape[2]}x{feat.shape[3]}")
     if feat.shape[0] < 2:
         raise DegenerateBatch("batch statistics need at least 2 samples")
-    u, s = feat.values.mean(axis=(2, 3)), _std(feat.values, (2, 3))
+    x = feat.values
+    u = x.mean(axis=(2, 3))
+    s = _std(x, u[:, :, None, None], (2, 3))
+    u_bar, s_bar = u.mean(axis=0), s.mean(axis=0)
     return LayerStats(instance_mean=T.constant(u),
                       instance_std=T.constant(s),
-                      mean_of_means=T.constant(u.mean(axis=0)),
-                      std_of_means=T.constant(_std(u, 0)),
-                      mean_of_stds=T.constant(s.mean(axis=0)),
-                      std_of_stds=T.constant(_std(s, 0)))
+                      mean_of_means=T.constant(u_bar),
+                      std_of_means=T.constant(_std(u, u_bar, 0)),
+                      mean_of_stds=T.constant(s_bar),
+                      std_of_stds=T.constant(_std(s, s_bar, 0)))

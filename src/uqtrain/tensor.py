@@ -7,12 +7,12 @@ nodes that produced its inputs, replaying the list in reverse visits the
 graph in reverse topological order, and a single sweep accumulates exact
 gradients into every leaf.
 
-Six generic ops (add, scalar_mul, relu, softplus, matmul, reshape) build
-the backbone, the heads and the total loss.  Each of the method's other
-steps is one op with a closed-form backward: perturb_stats for a
-compensated layer, mix_partners for the sigma-weighted blend,
-triplet_hinge for the triplet term and class_cross_entropy for the
-classification loss.
+Each step of the model is one op with a closed-form backward: affine
+(x @ w + b) for a backbone block or a head, relu, softplus (with an
+optional floor) for sigma, perturb_stats for a compensated layer,
+mix_partners for the sigma-weighted blend, triplet_hinge for the triplet
+term and class_cross_entropy for the classification loss.  add and
+scalar_mul, on equal shapes only, combine the loss terms.
 
 Design rules the ops follow:
 
@@ -147,8 +147,11 @@ def backward(loss: DiffArray, tape: Tape) -> None:
             if contrib is None or not inp.requires_grad:
                 continue
             if inp.grad is None:
-                inp.grad = np.zeros_like(inp.values)
-            inp.grad += contrib
+                # a copy, never the contribution itself: a backward may
+                # return g, and a later += would write through to it
+                inp.grad = np.array(contrib, order="C")
+            else:
+                inp.grad += contrib
 
     for arr in seen.values():
         if arr.requires_grad and arr.grad is None:
@@ -159,30 +162,13 @@ def backward(loss: DiffArray, tape: Tape) -> None:
 # elementwise and linear-algebra ops
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to shape, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _check_broadcast(a: DiffArray, b: DiffArray, opname: str):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} "
-                         "do not broadcast") from None
-
-
 def add(a: DiffArray, b: DiffArray) -> DiffArray:
-    _check_broadcast(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = DiffArray(a.values + b.values)
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return _record(out, (a, b), bw)
 
@@ -207,10 +193,11 @@ def relu(x: DiffArray) -> DiffArray:
     return _record(out, (x,), bw)
 
 
-def softplus(x: DiffArray) -> DiffArray:
-    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|), with one exp that the
-    backward reuses.  It agrees with np.logaddexp(0, x) to 1e-15
-    relative, which on numpy 2.4 takes 3 to 7 times as long."""
+def softplus(x: DiffArray, floor: float = 0.0) -> DiffArray:
+    """log(1 + e^x) + floor, with log(1 + e^x) as max(x, 0) +
+    log1p(e^-|x|) and one exp that the backward reuses.  It agrees with
+    np.logaddexp(0, x) to 1e-15 relative, which on numpy 2.4 takes 3 to
+    7 times as long."""
     v = x.values
     e = np.exp(-np.abs(v))
     out = np.maximum(v, 0.0)
@@ -218,6 +205,8 @@ def softplus(x: DiffArray) -> DiffArray:
     # eval batch then holds no more arrays at once than np.logaddexp did
     on_tape = x.requires_grad and _active_tape() is not None
     out += np.log1p(e) if on_tape else np.log1p(e, out=e)
+    if floor:
+        out += floor
 
     def bw(g):
         # the logistic sigmoid, stable on both sides of 0
@@ -227,30 +216,18 @@ def softplus(x: DiffArray) -> DiffArray:
     return _record(DiffArray(out), (x,), bw)
 
 
-def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    out = DiffArray(a.values @ b.values)
+def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
+    """x @ w + b for a (B, n) input, an (n, m) weight and an (m,) bias."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape} "
+                         "does not fit")
+    out = DiffArray(x.values @ w.values + b.values)
 
     def bw(g):
-        return g @ b.values.T, a.values.T @ g
+        return g @ w.values.T, x.values.T @ g, g.sum(axis=0)
 
-    return _record(out, (a, b), bw)
-
-
-def reshape(x: DiffArray, new_shape) -> DiffArray:
-    new_shape = tuple(int(d) for d in new_shape)
-    if int(np.prod(new_shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"reshape: {x.shape} has {x.size} elements, "
-                         f"target {new_shape} does not match")
-    out = DiffArray(x.values.reshape(new_shape).copy())
-
-    def bw(g):
-        return (g.reshape(x.shape),)
-
-    return _record(out, (x,), bw)
+    return _record(out, (x, w, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +236,42 @@ def reshape(x: DiffArray, new_shape) -> DiffArray:
 
 def perturb_stats(x: DiffArray, u, s, sm, ss, eps_m, eps_s,
                   eps_div: float) -> DiffArray:
-    """Re-standardize a (B, C, H, W) map by its instance statistics and
-    re-scale and re-shift it by jittered ones:
+    """Re-standardize a map by its instance statistics and re-scale and
+    re-shift it by jittered ones:
 
         out = (s + eps_s * ss) * ((x - u) / (s + eps_div)) + (u + eps_m * sm)
 
-    u, s are the (B, C) spatial mean and smoothed population std of this
-    exact x, and sm, ss the (C,) smoothed population stds of u and s over
-    the batch, all plain arrays; the backward differentiates through
-    them in closed form.  eps_m, eps_s are (B, C) noise fields.  The
-    caller checks the shapes.
+    x is a (B, C * H * W) block output or its (B, C, H, W) view; either
+    way the op reads it as (B, C, H * W), with C the width of u, and the
+    output keeps x's shape.  u, s are the (B, C) spatial mean and
+    smoothed population std of this exact x, and sm, ss the (C,) smoothed
+    population stds of u and s over the batch, all plain arrays; the
+    backward differentiates through them in closed form.  eps_m, eps_s
+    are (B, C) noise fields.  The caller checks the shapes.
     """
-    scale = (s + eps_s * ss)[:, :, None, None]
-    shift = (u + eps_m * sm)[:, :, None, None]
-    centered = x.values - u[:, :, None, None]
-    denom = s[:, :, None, None] + eps_div
-    out = DiffArray(scale * (centered / denom) + shift)
-    b, n = x.shape[0], x.shape[2] * x.shape[3]
+    b, c = u.shape
+    scale = (s + eps_s * ss)[:, :, None]
+    shift = (u + eps_m * sm)[:, :, None]
+    centered = x.values.reshape(b, c, -1) - u[:, :, None]
+    denom = s[:, :, None] + eps_div
+    out = DiffArray((scale * (centered / denom) + shift).reshape(x.shape))
+    n = centered.shape[2]
 
     def bw(g):
         # every divisor is at least 1e-6: s, sm and ss carry the variance
         # smoothing and denom adds eps_div, so no DegenerateDenominator guard
+        g = g.reshape(b, c, n)
         a = scale / denom
-        keep = 1.0 - a[:, :, 0, 0]
-        g_sum = g.sum(axis=(2, 3))
-        gn_sum = (g * centered / denom).sum(axis=(2, 3))
+        keep = 1.0 - a[:, :, 0]
+        g_sum = g.sum(axis=2)
+        gn_sum = (g * centered / denom).sum(axis=2)
         # d loss / d u and d loss / d s, the batch stds sm, ss included
         gu = (g_sum * keep + (u - u.mean(axis=0))
               * (eps_m * g_sum).sum(axis=0) / (b * sm))
         gs = (gn_sum * keep + (s - s.mean(axis=0))
               * (eps_s * gn_sum).sum(axis=0) / (b * ss))
-        return (g * a + (gu / n)[:, :, None, None]
-                + centered * (gs / (n * s))[:, :, None, None],)
+        return ((g * a + (gu / n)[:, :, None]
+                 + centered * (gs / (n * s))[:, :, None]).reshape(x.shape),)
 
     return _record(out, (x,), bw)
 

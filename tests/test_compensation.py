@@ -165,7 +165,6 @@ def test_eval_mode_is_plain_forward_bitwise():
     h = T.constant(x)
     for block in net.blocks:
         h = T.relu(block.apply(h))
-    h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
     assert a.values.tobytes() == h.values.tobytes()
 
 
@@ -180,13 +179,13 @@ def test_single_enabled_layer_matches_manual_composition():
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
         if k == 2:
-            st = layer_stats(feat)
-            draw = draw_perturbation(feat.shape[0], feat.shape[1],
+            grid = feat.values.reshape(feat.shape[0], *block.grid)
+            st = layer_stats(T.constant(grid))
+            draw = draw_perturbation(feat.shape[0], block.grid[0],
                                      seed=17, epoch=1,
                                      batch_index=4, layer_index=2)
             feat = compensate(feat, st, draw)
         h = T.relu(feat)
-    h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
     np.testing.assert_array_equal(out.values, h.values)
 
 
@@ -196,3 +195,9 @@ def test_stats_shape_mismatch_rejected():
     other = layer_stats(T.constant(rng.standard_normal((4, 5, 2, 2))))
     with pytest.raises(ShapeError):
         compensate(T.constant(feat), other, zero_draw(4, 5))
+    # a flat map's width must hold whole channels, and its batch must match
+    with pytest.raises(ShapeError):
+        compensate(T.constant(feat.reshape(4, 12)), other, zero_draw(4, 5))
+    with pytest.raises(ShapeError):
+        compensate(T.constant(feat[:2].reshape(2, 12)),
+                   layer_stats(T.constant(feat)), zero_draw(4, 3))

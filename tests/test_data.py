@@ -13,7 +13,6 @@ from uqtrain.data import (
     load_dataset,
     make_blobs,
     save_dataset,
-    shift_domain,
     split_dataset,
 )
 from uqtrain.errors import ContractError, DataFormatError
@@ -102,38 +101,6 @@ def test_corruption_is_seed_deterministic():
     assert np.array_equal(a.labels, b.labels)
     c = corrupt_labels(ds, NoiseSpec(ratio=0.2, seed=5))
     assert not np.array_equal(a.labels, c.labels)
-
-
-def test_shift_domain_deterministic_and_round_robin():
-    ds = make_blobs(3, 5, 60, 1.0, seed=11)
-    a = shift_domain(ds, 3, seed=1)
-    b = shift_domain(ds, 3, seed=1)
-    assert a.features.tobytes() == b.features.tobytes()
-    # rows i and i + 3 share one per-feature affine map; the three maps
-    # are fitted on each domain's first two rows
-    x, y = ds.features, a.features
-    scales = []
-    for dom in range(3):
-        rows = np.arange(dom, 60, 3)
-        scale = (y[rows[1]] - y[rows[0]]) / (x[rows[1]] - x[rows[0]])
-        shift = y[rows[0]] - x[rows[0]] * scale
-        np.testing.assert_allclose(y[rows], x[rows] * scale + shift,
-                                   rtol=1e-9, atol=1e-9)
-        scales.append(scale)
-    assert not np.allclose(scales[0], scales[1])
-    assert not np.allclose(scales[1], scales[2])
-    assert np.array_equal(a.labels, ds.labels)
-    with pytest.raises(ContractError):
-        shift_domain(ds, 1, seed=0)
-
-
-def test_shift_domain_changes_features_within_bounds():
-    ds = make_blobs(2, 4, 40, 1.0, seed=12)
-    out = shift_domain(ds, 2, seed=2)
-    assert not np.array_equal(out.features, ds.features)
-    # scale in [0.5, 2] and shift in [-1, 1] bound each coordinate
-    bound = 2.0 * np.abs(ds.features) + 1.0
-    assert np.all(np.abs(out.features) <= bound + 1e-9)
 
 
 def test_split_is_disjoint_prefix_suffix():

@@ -160,7 +160,6 @@ def test_checkpoint_rebuilds_from_arch(tmp_path):
         h = T.constant(x)
         for block in n.blocks:
             h = T.relu(block.apply(h))
-        h = T.reshape(h, (h.shape[0], int(np.prod(h.shape[1:]))))
         return head_forward(n, h, np.zeros(2, dtype=np.int64))
 
     a, b = forward(loaded), forward(net)

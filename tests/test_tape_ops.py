@@ -40,7 +40,7 @@ def tensor_references(name) -> set[str]:
 
 def test_every_tape_op_has_a_library_caller():
     ops = tape_ops()
-    assert {"add", "matmul", "perturb_stats", "class_cross_entropy"} <= ops
+    assert {"add", "affine", "perturb_stats", "class_cross_entropy"} <= ops
     used = set()
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py") and name not in CORE:
@@ -60,5 +60,5 @@ def test_every_tape_op_has_a_gradcheck_case(monkeypatch):
     for _, f, arrays in _op_cases(0):
         T.check_gradients(f, arrays)
     ops = tape_ops()
-    assert {"add", "matmul", "perturb_stats", "class_cross_entropy"} <= ops
+    assert {"add", "affine", "perturb_stats", "class_cross_entropy"} <= ops
     assert ops <= recorded, f"no gradcheck case for {sorted(ops - recorded)}"

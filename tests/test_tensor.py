@@ -7,6 +7,7 @@ import uqtrain.tensor as T
 from uqtrain.compensation import compensate, draw_perturbation
 from uqtrain.errors import ContractError, DegenerateDenominator, ShapeError
 from uqtrain.gradcheck import weighted_sum
+from uqtrain.heads import SIGMA_FLOOR
 from uqtrain.stats import layer_stats
 
 
@@ -39,11 +40,50 @@ def test_softplus_backward_is_the_logistic_sigmoid_bitwise():
     assert p.grad.tobytes() == sig.tobytes()
 
 
-def test_matmul_identity_returns_operand():
+def test_softplus_floor_is_added_in_place_bitwise():
+    x = np.concatenate([SOFTPLUS_POINTS, np.linspace(-40.0, 40.0, 801)])
+    g = np.random.default_rng(1).standard_normal(x.shape)
+    for floor in (SIGMA_FLOOR, 0.5):
+        off_tape = T.softplus(T.constant(x), floor).values
+        assert off_tape.tobytes() == (T.softplus(T.constant(x)).values
+                                      + floor).tobytes()
+        grads = []
+        for fl in (0.0, floor):
+            p = T.parameter(x)
+            with T.Tape() as tape:
+                out = T.softplus(p, fl)
+                loss = weighted_sum(out, g)
+            T.backward(loss, tape)
+            grads.append(p.grad.tobytes())
+        assert out.values.tobytes() == off_tape.tobytes()
+        assert grads[0] == grads[1]
+
+
+def test_affine_identity_returns_operand():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 5))
-    out = T.matmul(T.constant(np.eye(3)), T.constant(a))
+    out = T.affine(T.constant(a), T.constant(np.eye(5)),
+                   T.constant(np.zeros(5)))
     np.testing.assert_allclose(out.values, a, atol=1e-15)
+
+
+@pytest.mark.parametrize("b, n, m", [(3, 4, 2), (128, 64, 64), (37, 10, 1)])
+def test_affine_repeats_matmul_plus_bias_bitwise(b, n, m):
+    """The output and all three gradients are the arithmetic a matmul
+    node plus a broadcast bias add did."""
+    rng = np.random.default_rng(b)
+    x, w = rng.standard_normal((b, n)), rng.standard_normal((n, m))
+    bias, g = rng.standard_normal(m), rng.standard_normal((b, m))
+    xp, wp, bp = T.parameter(x), T.parameter(w), T.parameter(bias)
+    with T.Tape() as tape:
+        out = T.affine(xp, wp, bp)
+        loss = weighted_sum(out, g)
+    assert len(tape.nodes) == 2
+    T.backward(loss, tape)
+    assert out.values.tobytes() == (x @ w + bias).tobytes()
+    assert xp.grad.tobytes() == (g @ w.T).tobytes()
+    assert wp.grad.tobytes() == (x.T @ g).tobytes()
+    assert bp.grad.tobytes() == g.sum(axis=0).tobytes()
 
 
 def test_backward_sum_gives_ones():
@@ -69,10 +109,13 @@ def test_backward_three_layer_composition_matches_fd():
               T.parameter(rng.standard_normal((4, 6))),
               T.parameter(rng.standard_normal((6, 3)))]
 
+    zeros = T.constant(np.zeros(6)), T.constant(np.zeros(3))
+
     def f(ars):
         x, w1, w2 = ars
-        h = T.relu(T.matmul(x, w1))
-        return weighted_sum(T.softplus(T.matmul(h, w2)), np.ones((5, 3)))
+        h = T.relu(T.affine(x, w1, zeros[0]))
+        return weighted_sum(T.softplus(T.affine(h, w2, zeros[1])),
+                            np.ones((5, 3)))
 
     assert T.check_gradients(f, arrays) < 1e-4
 
@@ -128,23 +171,62 @@ def test_partner_indices_must_be_rows_of_the_batch(index):
         T.triplet_hinge(mean, [0, 1], index, [1, 1], 1.0)
 
 
-def test_matmul_shape_mismatch():
+@pytest.mark.parametrize("x, w, b", [((2, 3), (4, 2), (2,)),
+                                     ((2, 3), (3, 2), (3,)),
+                                     ((2, 3, 1), (3, 2), (2,))],
+                         ids=["inner", "bias", "3-d"])
+def test_affine_shape_mismatch(x, w, b):
     with pytest.raises(ShapeError):
-        T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((4, 2))))
+        T.affine(*(T.constant(np.ones(sh)) for sh in (x, w, b)))
 
 
 def test_add_shape_mismatch():
     with pytest.raises(ShapeError):
         T.add(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 4))))
+    # adds do not broadcast
+    with pytest.raises(ShapeError):
+        T.add(T.constant(np.ones((3, 4))), T.constant(np.ones(4)))
 
 
-def test_broadcast_add_and_unbroadcast_grad():
-    x = T.parameter(np.ones((3, 4)))
-    b = T.parameter(np.arange(4.0))
+def test_backward_copies_first_gradients_and_never_aliases():
+    """add's backward hands g itself to both inputs.  The sweep must
+    store a copy of each input's first contribution: a leaf used twice,
+    and every array downstream of an add, must get the gradients a
+    zero-filled buffer plus each contribution gives, and no two .grad
+    arrays may share memory."""
+    rng = np.random.default_rng(4)
+    x = T.parameter(rng.standard_normal((3, 4)))
+    y = T.parameter(rng.standard_normal((3, 4)))
+    w = rng.standard_normal((3, 4))
     with T.Tape() as tape:
-        loss = weighted_sum(T.add(x, b), np.ones((3, 4)))
+        s = T.add(x, y)
+        d = T.add(s, s)
+        t = T.add(d, x)
+        loss = weighted_sum(t, w)
     T.backward(loss, tape)
-    np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0, 3.0])
+
+    def zero_fill_and_add(*contribs):
+        grad = np.zeros((3, 4))
+        for c in contribs:
+            grad += c
+        return grad
+
+    g_t = zero_fill_and_add(w)
+    g_d = zero_fill_and_add(g_t)
+    g_s = zero_fill_and_add(g_d, g_d)
+    want = {"t": g_t, "d": g_d, "s": g_s,
+            "x": zero_fill_and_add(g_t, g_s), "y": zero_fill_and_add(g_s)}
+    arrays = {"t": t, "d": d, "s": s, "x": x, "y": y}
+    for name, arr in arrays.items():
+        assert arr.grad.tobytes() == want[name].tobytes(), name
+
+    for name, arr in arrays.items():
+        arr.grad[...] = np.nan
+        for other, o in arrays.items():
+            if other != name:
+                assert o.grad.tobytes() == want[other].tobytes(), \
+                    f"writing {name}.grad changed {other}.grad"
+        arr.grad[...] = want[name]
 
 
 def test_mix_partners_scatter_handles_duplicate_partners():
@@ -163,19 +245,40 @@ def test_mix_partners_scatter_handles_duplicate_partners():
 def test_forward_deterministic_bitwise():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 12))
-    w = rng.standard_normal((12, 48))
+    w, b = rng.standard_normal((12, 48)), rng.standard_normal(48)
     classifier = rng.standard_normal((3, 48))
     draw = draw_perturbation(4, 3, seed=3, epoch=0, batch_index=0,
                              layer_index=1)
 
     def forward():
-        grid = T.reshape(T.matmul(T.constant(x), T.constant(w)), (4, 3, 4, 4))
-        out = compensate(grid, layer_stats(grid), draw)
-        feats = T.relu(T.reshape(out, (4, 48)))
+        flat = T.affine(T.constant(x), T.constant(w), T.constant(b))
+        grid = T.constant(flat.values.reshape(4, 3, 4, 4))
+        feats = T.relu(compensate(flat, layer_stats(grid), draw))
         return T.class_cross_entropy(feats, T.constant(classifier),
                                      np.eye(3)[[0, 1, 2, 0]]).values
 
     assert forward().tobytes() == forward().tobytes()
+
+
+def test_perturb_stats_on_the_flat_output_matches_its_grid_view_bitwise():
+    rng = np.random.default_rng(5)
+    grid = rng.standard_normal((6, 3, 2, 2)) * 2.0
+    st = layer_stats(T.constant(grid))
+    draw = draw_perturbation(6, 3, seed=5, epoch=1, batch_index=2,
+                             layer_index=1)
+    g = rng.standard_normal(grid.shape)
+    outs, grads = [], []
+    for shape in (grid.shape, (6, 12)):
+        x = T.parameter(grid.reshape(shape))
+        with T.Tape() as tape:
+            out = compensate(x, st, draw)
+            loss = weighted_sum(out, g.reshape(shape))
+        assert len(tape.nodes) == 2 and out.shape == shape
+        T.backward(loss, tape)
+        outs.append(out.values.tobytes())
+        grads.append(x.grad.tobytes())
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
 
 
 def generic_chain_cross_entropy(x, classifier, targets):

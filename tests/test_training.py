@@ -3,6 +3,7 @@
 import copy
 import csv
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -195,9 +196,21 @@ def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
 
 
 # tape nodes of one train step at the default architecture
-NODES_PER_STEP = {"baseline": 14, "compensation": 16, "compensation+pos": 21,
-                  "compensation+neg": 21, "compensation+pos+neg": 21,
-                  "full": 23}
+NODES_PER_STEP = {"baseline": 7, "compensation": 9, "compensation+pos": 12,
+                  "compensation+neg": 12, "compensation+pos+neg": 12,
+                  "full": 14}
+
+# the same nodes by op: a block is affine, perturb_stats where compensated,
+# and relu; the mean head is affine, and the sigma head (read only by the
+# partner blend) affine and softplus; the total loss adds its terms
+BASELINE_OPS = {"affine": 3, "relu": 2, "class_cross_entropy": 1, "add": 1}
+COMPENSATED_OPS = dict(BASELINE_OPS, perturb_stats=2)
+BLENDED_OPS = dict(COMPENSATED_OPS, affine=4, softplus=1, mix_partners=1)
+OPS_PER_STEP = {"baseline": BASELINE_OPS, "compensation": COMPENSATED_OPS,
+                "compensation+pos": BLENDED_OPS,
+                "compensation+neg": BLENDED_OPS,
+                "compensation+pos+neg": BLENDED_OPS,
+                "full": dict(BLENDED_OPS, triplet_hinge=1, scalar_mul=1)}
 
 
 @pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
@@ -227,6 +240,7 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
             node.backward = recorded
         real_backward(loss, tape)
         seen["count"] = len(tape.nodes)
+        seen["ops"] = Counter(ops)
         seen["dead"] = [(ops[i], n.out) for i, n in enumerate(tape.nodes)
                         if i not in called]
 
@@ -235,6 +249,7 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     train_step(net, ds.features, ds.labels, cfg, Adam(net.parameters()),
                0, 0)
     assert seen["count"] == NODES_PER_STEP[tag]
+    assert seen["ops"] == OPS_PER_STEP[tag]
     assert seen["dead"] == []
     partners = cfg.use_positive_branch or cfg.use_negative_branch
     assert (seen["u"].sigma is not None) == partners
