@@ -78,7 +78,17 @@ def _load_pair(cfg: TrainConfig):
     if not cfg.data_train or not cfg.data_test:
         raise ConfigError("data_train and data_test must both be set "
                           "(config file or --data-train/--data-test)")
-    return load_dataset(cfg.data_train), load_dataset(cfg.data_test)
+    pair = load_dataset(cfg.data_train), load_dataset(cfg.data_test)
+    # the classifier gets a row per class up to the largest label; a class
+    # count above the row count only allocates rows no sample can train
+    rows = len(pair[0]) + len(pair[1])
+    for path, ds in zip((cfg.data_train, cfg.data_test), pair):
+        if ds.num_classes > rows:
+            raise DataFormatError(
+                f"{path}: largest label {ds.num_classes - 1} implies "
+                f"{ds.num_classes} classes, more than the {rows} rows of "
+                "the train and test data")
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ the label column.  Floats are written with repr so a save/load round
 trip is bitwise exact.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,48 +155,91 @@ def save_dataset(ds: LabeledDataset, path: str) -> None:
 def load_dataset(path: str) -> LabeledDataset:
     """Parse save_dataset output; round-trips bitwise.  A label outside
     int64, a negative label or a non-finite feature is a format error
-    naming its line."""
-    feats = []
-    labels = []
-    linenos = []
-    width = None
+    naming its line.
+
+    The file is ASCII: float feature cells, then an integer label,
+    comma-separated; blank lines are skipped.  Lines split as iterating
+    the file does, on "\n" after universal newlines (str.splitlines would
+    also split on \x0b, \x0c and \x1c-\x1e).  numpy's C tokenizer reads
+    the file in one pass; a file it rejects goes through the
+    line-at-a-time parse, which accepts the same files and names the
+    line of the first row that does not parse.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) < 2:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: need at least one feature and "
-                        "a label")
-                if width is None:
-                    width = len(cells)
-                elif len(cells) != width:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected {width} columns, got "
-                        f"{len(cells)}")
-                try:
-                    feats.append([float(c) for c in cells[:-1]])
-                    labels.append(int(cells[-1]))
-                except ValueError as e:
-                    raise DataFormatError(f"{path}:{lineno}: {e}") from e
-                if not -2**63 <= labels[-1] < 2**63:  # stored as int64
-                    raise DataFormatError(
-                        f"{path}:{lineno}: label {labels[-1]} does not fit "
-                        "in int64")
-                linenos.append(lineno)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise DataFormatError(f"cannot read dataset {path}: {e}") from e
-    if not feats:
+    if not text.strip():
         raise DataFormatError(f"{path}: empty dataset")
-    features = np.array(feats, dtype=np.float64)
-    labels = np.array(labels, dtype=np.int64)
+    features, labels = _parse_table(text) or _parse_lines(path, text)
     bad = ~np.isfinite(features).all(axis=1) | (labels < 0)
     if bad.any():
         row = int(np.argmax(bad))
+        lineno = [n for n, line in enumerate(text.split("\n"), start=1)
+                  if line.strip()][row]
         what = (f"negative label {labels[row]}" if labels[row] < 0
                 else "non-finite feature")
-        raise DataFormatError(f"{path}:{linenos[row]}: {what}")
+        raise DataFormatError(f"{path}:{lineno}: {what}")
     return LabeledDataset(features=features, labels=labels)
+
+
+# Python's float() and int() reject the ASCII separators \x1c-\x1f inside
+# a cell; numpy skips them like blanks
+_NUMPY_ONLY_BLANKS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_table(text: str):
+    """(features, labels) of text's non-blank lines from one np.loadtxt
+    call, or None if numpy rejects them, warns, or could accept a cell
+    that _parse_lines rejects.  The label column is read as int64, so
+    labels above 2**53 stay exact."""
+    if any(c in text for c in _NUMPY_ONLY_BLANKS):
+        return None
+    rows = [row for row in map(str.strip, text.split("\n")) if row]
+    width = rows[0].count(",") + 1
+    if width < 2:
+        return None
+    dtype = [("x", "<f8", (width - 1,)), ("y", "<i8")]
+    try:
+        # older numpy read "3.0" as an int with a DeprecationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(rows, dtype=dtype, delimiter=",",
+                               comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    return np.ascontiguousarray(table["x"]), np.ascontiguousarray(table["y"])
+
+
+def _parse_lines(path: str, text: str):
+    """(features, labels) of text's non-blank lines, parsed one at a
+    time with float() and int(); the first row that does not parse
+    raises DataFormatError naming its line."""
+    feats = []
+    labels = []
+    width = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) < 2:
+            raise DataFormatError(
+                f"{path}:{lineno}: need at least one feature and a label")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {width} columns, got "
+                f"{len(cells)}")
+        try:
+            feats.append([float(c) for c in cells[:-1]])
+            labels.append(int(cells[-1]))
+        except ValueError as e:
+            raise DataFormatError(f"{path}:{lineno}: {e}") from e
+        if not -2**63 <= labels[-1] < 2**63:  # stored as int64
+            raise DataFormatError(
+                f"{path}:{lineno}: label {labels[-1]} does not fit in int64")
+    return (np.array(feats, dtype=np.float64),
+            np.array(labels, dtype=np.int64))

@@ -167,6 +167,26 @@ def build_network_from_arch(arch: dict, seed: int = 0) -> Network:
     raise ContractError(f"unknown network family {family!r}")
 
 
+def _param_shapes(arch: dict) -> list[tuple[str, tuple]]:
+    """(name, shape) of every parameter build_network_from_arch(arch)
+    makes, in Network.parameters() order, without allocating any."""
+    if arch.get("family") != "vector":
+        raise ContractError(f"unknown network family {arch.get('family')!r}")
+    fan_in = int(arch["input_dim"])
+    embed_dim = int(arch["embed_dim"])
+    shapes = []
+    for i, grid in enumerate(arch["grids"]):
+        c, h, w = _parse_grid(grid)
+        shapes += [(f"block{i}.weight", (fan_in, c * h * w)),
+                   (f"block{i}.bias", (c * h * w,))]
+        fan_in = c * h * w
+    return shapes + [("mean_w", (fan_in, embed_dim)),
+                     ("mean_b", (embed_dim,)),
+                     ("sigma_w", (fan_in, embed_dim)),
+                     ("sigma_b", (embed_dim,)),
+                     ("classifier", (int(arch["num_classes"]), embed_dim))]
+
+
 # ---------------------------------------------------------------------------
 # checkpoint IO
 
@@ -214,17 +234,22 @@ def load_checkpoint(path: str) -> tuple[Network, dict]:
         raise DataFormatError(f"unsupported checkpoint version "
                               f"{payload.get('version')}")
     try:
-        net = build_network_from_arch(payload["arch"])
+        # decode and check every buffer against the shapes the arch
+        # implies before building: an arch asking for a huge network
+        # must fail on its shapes, not on allocating them
         params = payload["params"]
-        for name, arr in net.parameters():
+        loaded = {}
+        for name, shape in _param_shapes(payload["arch"]):
             if name not in params:
                 raise DataFormatError(f"checkpoint missing parameter {name}")
-            loaded = _decode(params[name])
-            if loaded.shape != arr.values.shape:
+            loaded[name] = _decode(params[name])
+            if loaded[name].shape != shape:
                 raise DataFormatError(
-                    f"parameter {name}: shape {loaded.shape} does not match "
-                    f"architecture {arr.values.shape}")
-            arr.values = loaded
+                    f"parameter {name}: shape {loaded[name].shape} does not "
+                    f"match architecture {shape}")
+        net = build_network_from_arch(payload["arch"])
+        for name, arr in net.parameters():
+            arr.values = loaded[name]
     # binascii.Error (bad base64) is a ValueError
     except (AttributeError, ContractError, KeyError, TypeError,
             ValueError) as e:

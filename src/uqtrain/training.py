@@ -192,20 +192,36 @@ class EvalReport:
         return self.accuracy_by_rejection[0.0]
 
 
+# rows per scoring block: scoring holds one block's activations at a
+# time, whatever the input's size
+SCORE_BLOCK_ROWS = 1024
+
+
 def _forward(net: Network, x: np.ndarray, with_sigma: bool):
-    """Eval-mode forward: returns (predictions, head outputs)."""
-    feats = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
-    u = head_forward(net, feats, np.zeros(x.shape[0], dtype=np.int64),
-                     with_sigma=with_sigma)
-    preds = np.argmax(class_logits(net, u.mean.values), axis=1)
-    return preds, u
+    """Eval-mode forward in row blocks: returns (predictions, uncertainty
+    scores or None).  A 1-row tail joins the block before it, since on
+    one row BLAS takes a matrix-vector kernel whose bits differ."""
+    n = x.shape[0]
+    starts = list(range(0, n, SCORE_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    preds = np.empty(n, dtype=np.intp)
+    scores = np.empty(n) if with_sigma else None
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        feats = forward_with_compensation(T.constant(x[lo:hi]), net, (),
+                                          0, 0, 0)
+        u = head_forward(net, feats, np.zeros(hi - lo, dtype=np.int64),
+                         with_sigma=with_sigma)
+        preds[lo:hi] = np.argmax(class_logits(net, u.mean.values), axis=1)
+        if with_sigma:
+            scores[lo:hi] = uncertainty_score(u)
+    return preds, scores
 
 
 # cfg is unused; the benchmark's output check calls predict(net, x, cfg)
 def predict(net: Network, x: np.ndarray, cfg: TrainConfig | None = None):
     """Eval-mode forward: returns (predictions, uncertainty scores)."""
-    preds, u = _forward(net, x, with_sigma=True)
-    return preds, uncertainty_score(u)
+    return _forward(net, x, with_sigma=True)
 
 
 def accuracy(net: Network, ds: LabeledDataset) -> float:

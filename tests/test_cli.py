@@ -312,9 +312,17 @@ def _truncated_buffer(blob):
     return blob
 
 
+def _oversized_grids(blob):
+    """An arch whose first block would take 7.28 TiB; the buffers are the
+    small network's."""
+    blob["arch"]["grids"] = [[100000, 1000, 1000], [16, 2, 2]]
+    return blob
+
+
 @pytest.mark.parametrize("corrupt", [
     _list_payload, _no_arch, _arch_without_embed_dim, _non_base64_data,
-    _truncated_buffer], ids=lambda f: f.__name__.lstrip("_"))
+    _truncated_buffer, _oversized_grids],
+    ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_checkpoint_exits_4(data_dir, tmp_path, capsys, corrupt):
     path = os.path.join(tmp_path, "ck.json")
     save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)] * 2), path)
@@ -399,6 +407,28 @@ def test_bad_data_row_exits_4(data_dir, tmp_path, capsys, command, cell,
     captured = capsys.readouterr()
     assert f"i/o error: {bad}:3: {what}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_oversized_label_exits_4(data_dir, tmp_path, capsys, command):
+    """A train label of 10**10 would size the classifier for 10**10 + 1
+    classes; the run stops at load, naming the file and the label."""
+    with open(data_dir["train"]) as f:
+        lines = f.read().splitlines()
+    cells = lines[4].split(",")
+    cells[-1] = "10000000000"
+    lines[4] = ",".join(cells)
+    bad = os.path.join(tmp_path, "bad.csv")
+    with open(bad, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    out = os.path.join(tmp_path, "x")
+    assert main([command, "--out", out]
+                + fast_args(dict(data_dir, train=bad))) == EXIT_IO
+    captured = capsys.readouterr()
+    assert (f"i/o error: {bad}: largest label 10000000000 implies "
+            "10000000001 classes, more than the 135 rows") in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command", ["eval", "reject-curve", "ablate"])

@@ -9,6 +9,8 @@ import pytest
 from uqtrain.data import (
     LabeledDataset,
     NoiseSpec,
+    _parse_lines,
+    _parse_table,
     corrupt_labels,
     load_dataset,
     make_blobs,
@@ -169,6 +171,101 @@ def test_load_rejects_malformed_rows(tmp_path):
         f.write("1.0,2.0,0\n1.0,1\n")
     with pytest.raises(DataFormatError):
         load_dataset(path2)
+
+
+# cell spellings the two parses must agree on: accepted by both with the
+# same bits, or sent by the table parse to the line parse
+SPELLINGS = [
+    "1.5", "nan", "NaN", "-nan", "inf", "-inf", "iNf", "infinity",
+    "+Infinity", "-iNfInItY", "+.5e-3", "-.5E+3", "05", "007", "-0", "+0",
+    "-0.0", "0.1", "1e400", "-1e400", "1e-400", "4.9e-324",
+    "2.2250738585072014e-308", "1.7976931348623157e308",
+    "9007199254740993", "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+    " 1.5", "1.5 ", "\t1.5\t", "\x0b1.5", "\x0c1.5", "1.5\x0c",
+    "\x1c1.5", "1.5\x1d", "1\x1e", "\x1f2", "1_0", "1__0", "_1", "3.0",
+    "0x10", "0x1p3", "1e", "e5", ".", "", "1.5f", "1d5", "+-1", "nan(1)",
+    "1 5", "\x00", "1\x00", "'1'", '"1"', "#1", "1#",
+]
+
+
+@pytest.mark.parametrize("template", ["{},2.5,1", "1.5,{},1", "1.5,2.5,{}"],
+                         ids=["first-feature", "mid-feature", "label"])
+def test_table_parse_accepts_only_what_the_line_parse_accepts(tmp_path,
+                                                              template):
+    """Where np.loadtxt accepts a spelling, float()/int() accept it with
+    the same bits; load_dataset returns the line parse's dataset or
+    raises its error."""
+    path = os.path.join(tmp_path, "cells.csv")
+    for cell in SPELLINGS:
+        text = template.format(cell) + "\n1,2,3\n"
+        try:
+            want = _parse_lines(path, text)
+        except DataFormatError as e:
+            want = e
+        got = _parse_table(text)
+        if got is not None:
+            assert not isinstance(want, Exception), repr(cell)
+            assert got[0].tobytes() == want[0].tobytes(), repr(cell)
+            assert got[1].tobytes() == want[1].tobytes(), repr(cell)
+        with open(path, "w", encoding="ascii", newline="") as f:
+            f.write(text)
+        if isinstance(want, Exception):
+            with pytest.raises(DataFormatError) as err:
+                load_dataset(path)
+            assert str(err.value) == str(want), repr(cell)
+            continue
+        finite = np.isfinite(want[0]).all() and want[1].min() >= 0
+        if not finite:
+            with pytest.raises(DataFormatError, match=f"{path}:1: "):
+                load_dataset(path)
+            continue
+        ds = load_dataset(path)
+        assert ds.features.tobytes() == want[0].tobytes(), repr(cell)
+        assert ds.labels.tobytes() == want[1].tobytes(), repr(cell)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                         ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("last_newline", [True, False],
+                         ids=["newline-end", "no-newline-end"])
+def test_blank_lines_and_line_endings_parse_alike(tmp_path, newline,
+                                                  last_newline):
+    lines = ["", "1.5,-2,0", "   ", "\t", "3e-3,4,1 ", "", " 5,6.25,2"]
+    text = newline.join(lines) + (newline if last_newline else "")
+    path = os.path.join(tmp_path, "ends.csv")
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.write(text)
+    ds = load_dataset(path)
+    assert ds.features.tolist() == [[1.5, -2.0], [3e-3, 4.0], [5.0, 6.25]]
+    assert ds.labels.tolist() == [0, 1, 2]
+    as_read = text.replace("\r\n", "\n").replace("\r", "\n")
+    got = _parse_table(as_read)
+    want = _parse_lines(path, as_read)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1.0,2.0", "expected 3 columns, got 2"),
+    ("1.0,oops,1", "could not convert string to float: 'oops'"),
+    ("1.0,2.0,2.5", "invalid literal for int() with base 10: '2.5'"),
+    ("1_0,2,-1", "negative label -1"),
+    ("1_0,nan,1", "non-finite feature"),
+    ("nan,2,1", "non-finite feature"),
+    ("1,2,-3", "negative label -3")],
+    ids=["ragged", "unparsable", "float-label", "1_0-negative-label",
+         "1_0-nan", "nan", "negative-label"])
+def test_error_names_its_line_after_blank_lines(tmp_path, row, message):
+    """Blank and whitespace-only lines count toward the line number,
+    whether the table parse reads the file (nan, negative label) or
+    hands it to the line parse (every other row)."""
+    path = os.path.join(tmp_path, "bad.csv")
+    with open(path, "w", encoding="ascii", newline="") as f:
+        f.write("\r\n1,2,0\r\n  \r\n\r\n\t\r\n" + row + "\r\n3,4,1")
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}:6: {message}"
 
 
 def test_dataset_validation():

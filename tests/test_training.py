@@ -3,6 +3,7 @@
 import copy
 import csv
 import os
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,10 +12,16 @@ import pytest
 
 import uqtrain.tensor as T
 from uqtrain import config, training
+from uqtrain.compensation import forward_with_compensation
 from uqtrain.config import TrainConfig
-from uqtrain.data import make_blobs, split_dataset
+from uqtrain.data import LabeledDataset, make_blobs, split_dataset
 from uqtrain.errors import ContractError, DataFormatError, DegenerateBatch
-from uqtrain.heads import build_vector_network
+from uqtrain.heads import (
+    build_vector_network,
+    class_logits,
+    head_forward,
+    uncertainty_score,
+)
 from uqtrain.mining import TripletPlan
 from uqtrain.training import (
     ABLATION_LADDER,
@@ -320,6 +327,47 @@ def test_loss_stays_finite_across_twenty_seeds():
             assert np.isfinite(row["loss_total"])
             assert np.isfinite(row["loss_ce"])
             assert np.isfinite(row["loss_triplet"])
+
+
+def _whole_array_scores(net, x):
+    """Predictions and scores from one forward over every row at once."""
+    feats = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
+    u = head_forward(net, feats, np.zeros(len(x), dtype=np.int64))
+    return (np.argmax(class_logits(net, u.mean.values), axis=1),
+            uncertainty_score(u))
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                           (2, 1), (3, 0)],
+                         ids=["1", "B-1", "B", "B+1", "2B+1", "3B"])
+def test_block_scoring_matches_one_whole_array_pass(blocks, extra):
+    """Row blocks of B rows, with a 1-row tail merged into the block
+    before it, give the whole-array pass's predictions and score bits."""
+    n = blocks * training.SCORE_BLOCK_ROWS + extra
+    net = build_vector_network(10, 4, 64, [(16, 2, 2)] * 2, seed=5)
+    x = np.random.default_rng(n).standard_normal((n, 10)) * 2.0
+    labels = np.arange(n, dtype=np.int64) % 4
+    want_preds, want_scores = _whole_array_scores(net, x)
+    preds, scores = training.predict(net, x)
+    assert np.array_equal(preds, want_preds)
+    assert scores.tobytes() == want_scores.tobytes()
+    assert training.accuracy(net, LabeledDataset(x, labels)) \
+        == float(np.mean(want_preds == labels))
+
+
+def test_predict_memory_stays_bounded():
+    """Scoring 20000 rows holds one block's activations, not all rows'
+    (49 MiB when the pass was whole-array)."""
+    net = build_vector_network(10, 4, 64, [(16, 2, 2)] * 2, seed=5)
+    x = np.random.default_rng(0).standard_normal((20000, 10))
+    training.predict(net, x[:8])
+    tracemalloc.start()
+    try:
+        training.predict(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_rejection_hand_case_from_four_samples():
