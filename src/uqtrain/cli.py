@@ -40,6 +40,7 @@ from .files import write_csv
 from .heads import load_checkpoint
 from .training import (
     ABLATION_LADDER,
+    class_count,
     evaluate,
     predict,
     rejection_accuracies,
@@ -79,15 +80,7 @@ def _load_pair(cfg: TrainConfig):
         raise ConfigError("data_train and data_test must both be set "
                           "(config file or --data-train/--data-test)")
     pair = load_dataset(cfg.data_train), load_dataset(cfg.data_test)
-    # the classifier gets a row per class up to the largest label; a class
-    # count above the row count only allocates rows no sample can train
-    rows = len(pair[0]) + len(pair[1])
-    for path, ds in zip((cfg.data_train, cfg.data_test), pair):
-        if ds.num_classes > rows:
-            raise DataFormatError(
-                f"{path}: largest label {ds.num_classes - 1} implies "
-                f"{ds.num_classes} classes, more than the {rows} rows of "
-                "the train and test data")
+    class_count(*pair, names=(cfg.data_train, cfg.data_test))
     return pair
 
 

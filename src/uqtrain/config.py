@@ -124,17 +124,17 @@ _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 def _coerce(key: str, raw: str):
     ftype = _FIELD_TYPES[key]
     raw = raw.strip()
-    if ftype in ("bool", bool):
+    if ftype is bool:
         if raw.lower() not in BOOL_WORDS:
             raise ConfigError(f"{key}: expected true or false, got {raw!r}")
         return BOOL_WORDS[raw.lower()]
-    if ftype in ("int", int):
+    if ftype is int:
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") \
                 from None
-    if ftype in ("float", float):
+    if ftype is float:
         try:
             return float(raw)
         except ValueError:

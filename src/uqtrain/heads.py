@@ -37,15 +37,9 @@ class DenseGridBlock:
 
     def __init__(self, weight: T.DiffArray, bias: T.DiffArray,
                  grid: tuple[int, int, int]):
-        c, h, w = (int(g) for g in grid)
-        if weight.ndim != 2 or weight.shape[1] != c * h * w:
-            raise ShapeError(f"weight {weight.shape} does not fill grid "
-                             f"{(c, h, w)}")
-        if bias.shape != (c * h * w,):
-            raise ShapeError(f"bias {bias.shape} does not fill grid {(c, h, w)}")
         self.weight = weight
         self.bias = bias
-        self.grid = (c, h, w)
+        self.grid = tuple(grid)
 
     def apply(self, x: T.DiffArray) -> T.DiffArray:
         return T.affine(x, self.weight, self.bias)
@@ -61,31 +55,27 @@ class UncertainBatch:
 
 
 class Network:
-    """Backbone blocks plus uncertainty heads and classifier."""
+    """Backbone blocks plus uncertainty heads and classifier, built from an
+    arch and one array for each name param_shapes(arch) lists."""
 
-    def __init__(self, blocks, mean_w, mean_b, sigma_w, sigma_b,
-                 classifier, arch: dict):
-        self.blocks = list(blocks)
-        self.mean_w = mean_w
-        self.mean_b = mean_b
-        self.sigma_w = sigma_w
-        self.sigma_b = sigma_b
-        self.classifier = classifier   # (num_classes, d), bias-free
+    def __init__(self, arch: dict, arrays: dict):
         self.arch = dict(arch)
+        self.params = {name: T.parameter(arrays[name])
+                       for name, _ in param_shapes(arch)}
+        p = self.params
+        self.blocks = [DenseGridBlock(p[f"block{i}.weight"],
+                                      p[f"block{i}.bias"], grid)
+                       for i, grid in enumerate(arch["grids"])]
+        self.mean_w, self.mean_b = p["mean_w"], p["mean_b"]
+        self.sigma_w, self.sigma_b = p["sigma_w"], p["sigma_b"]
+        self.classifier = p["classifier"]   # (num_classes, d), bias-free
 
     def parameters(self) -> list[tuple[str, T.DiffArray]]:
         """Stable (name, array) listing; order is part of the format."""
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out.append((f"block{i}.weight", blk.weight))
-            out.append((f"block{i}.bias", blk.bias))
-        out.extend([("mean_w", self.mean_w), ("mean_b", self.mean_b),
-                    ("sigma_w", self.sigma_w), ("sigma_b", self.sigma_b),
-                    ("classifier", self.classifier)])
-        return out
+        return list(self.params.items())
 
     def head_param_names(self) -> set[str]:
-        return {"mean_w", "mean_b", "sigma_w", "sigma_b", "classifier"}
+        return {name for name in self.params if not name.startswith("block")}
 
 
 def head_forward(net: Network, feats: T.DiffArray, labels: np.ndarray,
@@ -118,65 +108,26 @@ def uncertainty_score(u: UncertainBatch) -> np.ndarray:
 # construction
 
 
-def _parse_grid(grid) -> tuple[int, int, int]:
-    c, h, w = (int(g) for g in grid)
-    if c < 1 or h < 1 or w < 1:
-        raise ContractError(f"grid dims must be positive, got {(c, h, w)}")
-    return c, h, w
+def _count(value, what: str, least: int = 1) -> int:
+    # type(), not isinstance: a JSON true must not pass as the integer 1
+    if type(value) is not int or value < least:
+        raise ContractError(f"{what} must be an integer of at least {least}, "
+                            f"got {value!r}")
+    return value
 
 
-def build_vector_network(input_dim: int, num_classes: int,
-                         embed_dim: int = 64,
-                         grids=((16, 2, 2), (16, 2, 2)),
-                         seed: int = 0) -> Network:
-    """Backbone for flat feature vectors: affine blocks read as grids."""
-    if num_classes < 2:
-        raise ContractError("need at least 2 classes")
-    grids = [_parse_grid(g) for g in grids]
-    blocks = []
-    fan_in = int(input_dim)
-    for i, grid in enumerate(grids):
-        out_elems = grid[0] * grid[1] * grid[2]
-        rng = keyed_rng(seed, STREAM_INIT, i)
-        w = rng.standard_normal((fan_in, out_elems)) * np.sqrt(2.0 / fan_in)
-        blocks.append(DenseGridBlock(T.parameter(w),
-                                     T.parameter(np.zeros(out_elems)),
-                                     grid))
-        fan_in = out_elems
-    arch = {"family": "vector", "input_dim": int(input_dim),
-            "grids": [list(g) for g in grids],
-            "embed_dim": int(embed_dim), "num_classes": int(num_classes)}
-
-    rng = keyed_rng(seed, STREAM_INIT, 100)
-    mean_w = rng.standard_normal((fan_in, embed_dim)) / np.sqrt(fan_in)
-    sigma_w = rng.standard_normal((fan_in, embed_dim)) / np.sqrt(fan_in)
-    classifier = rng.standard_normal((num_classes, embed_dim))
-    classifier /= np.sqrt(embed_dim)
-    return Network(blocks,
-                   T.parameter(mean_w), T.parameter(np.zeros(embed_dim)),
-                   T.parameter(sigma_w), T.parameter(np.zeros(embed_dim)),
-                   T.parameter(classifier), arch)
-
-
-def build_network_from_arch(arch: dict, seed: int = 0) -> Network:
-    family = arch.get("family")
-    if family == "vector":
-        return build_vector_network(arch["input_dim"], arch["num_classes"],
-                                    arch["embed_dim"],
-                                    [tuple(g) for g in arch["grids"]], seed)
-    raise ContractError(f"unknown network family {family!r}")
-
-
-def _param_shapes(arch: dict) -> list[tuple[str, tuple]]:
-    """(name, shape) of every parameter build_network_from_arch(arch)
-    makes, in Network.parameters() order, without allocating any."""
+def param_shapes(arch: dict) -> list[tuple[str, tuple]]:
+    """(name, shape) of every parameter of the network arch describes, in
+    Network.parameters() order, without allocating any.  The one statement
+    of the layout: building, loading and the arch checks all go here."""
     if arch.get("family") != "vector":
         raise ContractError(f"unknown network family {arch.get('family')!r}")
-    fan_in = int(arch["input_dim"])
-    embed_dim = int(arch["embed_dim"])
+    fan_in = _count(arch["input_dim"], "input_dim")
+    embed_dim = _count(arch["embed_dim"], "embed_dim")
+    num_classes = _count(arch["num_classes"], "num_classes", 2)
     shapes = []
     for i, grid in enumerate(arch["grids"]):
-        c, h, w = _parse_grid(grid)
+        c, h, w = (_count(g, f"grid {i} dim") for g in grid)
         shapes += [(f"block{i}.weight", (fan_in, c * h * w)),
                    (f"block{i}.bias", (c * h * w,))]
         fan_in = c * h * w
@@ -184,7 +135,33 @@ def _param_shapes(arch: dict) -> list[tuple[str, tuple]]:
                      ("mean_b", (embed_dim,)),
                      ("sigma_w", (fan_in, embed_dim)),
                      ("sigma_b", (embed_dim,)),
-                     ("classifier", (int(arch["num_classes"]), embed_dim))]
+                     ("classifier", (num_classes, embed_dim))]
+
+
+def build_vector_network(input_dim: int, num_classes: int,
+                         embed_dim: int = 64,
+                         grids=((16, 2, 2), (16, 2, 2)),
+                         seed: int = 0) -> Network:
+    """Backbone for flat feature vectors: affine blocks read as grids.
+    Block i draws from (seed, INIT, i), the heads from (seed, INIT, 100)."""
+    arch = {"family": "vector", "input_dim": int(input_dim),
+            "grids": [[int(g) for g in grid] for grid in grids],
+            "embed_dim": int(embed_dim), "num_classes": int(num_classes)}
+    head_rng = keyed_rng(seed, STREAM_INIT, 100)
+    arrays = {}
+    for name, shape in param_shapes(arch):
+        if len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+        elif name.startswith("block"):
+            # He scaling for the ReLU that follows each block
+            i = int(name.removeprefix("block").removesuffix(".weight"))
+            rng = keyed_rng(seed, STREAM_INIT, i)
+            arrays[name] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[0])
+        else:
+            # 1/sqrt(fan-in); the classifier's rows are embedding-wide
+            fan_in = shape[1] if name == "classifier" else shape[0]
+            arrays[name] = head_rng.standard_normal(shape) / np.sqrt(fan_in)
+    return Network(arch, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +197,9 @@ def save_checkpoint(net: Network, path: str, rng_state: dict | None = None):
 
 
 def load_checkpoint(path: str) -> tuple[Network, dict]:
-    """Rebuild a network bitwise-identically from save_checkpoint output.
-    Any payload that does not rebuild raises DataFormatError."""
+    """Rebuild a network bitwise-identically from save_checkpoint output,
+    from its buffers alone: no initialisation is drawn.  Any payload that
+    does not rebuild raises DataFormatError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
@@ -235,11 +213,11 @@ def load_checkpoint(path: str) -> tuple[Network, dict]:
                               f"{payload.get('version')}")
     try:
         # decode and check every buffer against the shapes the arch
-        # implies before building: an arch asking for a huge network
-        # must fail on its shapes, not on allocating them
+        # implies: an arch asking for a huge network must fail on its
+        # shapes, not on allocating them
         params = payload["params"]
         loaded = {}
-        for name, shape in _param_shapes(payload["arch"]):
+        for name, shape in param_shapes(payload["arch"]):
             if name not in params:
                 raise DataFormatError(f"checkpoint missing parameter {name}")
             loaded[name] = _decode(params[name])
@@ -247,9 +225,7 @@ def load_checkpoint(path: str) -> tuple[Network, dict]:
                 raise DataFormatError(
                     f"parameter {name}: shape {loaded[name].shape} does not "
                     f"match architecture {shape}")
-        net = build_network_from_arch(payload["arch"])
-        for name, arr in net.parameters():
-            arr.values = loaded[name]
+        net = Network(payload["arch"], loaded)
     # binascii.Error (bad base64) is a ValueError
     except (AttributeError, ContractError, KeyError, TypeError,
             ValueError) as e:

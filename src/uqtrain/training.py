@@ -92,12 +92,22 @@ class Adam:
 # batch sampling
 
 
+def row_blocks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most `size` rows covering n rows.  A 1-row
+    tail joins the block before it: a train step needs at least 2
+    samples, and on one row BLAS takes a matrix-vector kernel whose bits
+    differ."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
                      epoch: int) -> list[np.ndarray]:
     """Class-interleaved batches: shuffle within each class, then deal the
     classes round-robin before chunking, so every batch sees every class
-    at close to its global proportion.  A 1-sample tail joins the batch
-    before it, since a train step needs at least 2 samples."""
+    at close to its global proportion, then cut by row_blocks."""
     rng = keyed_rng(seed, STREAM_BATCH, epoch)
     classes = np.unique(labels)
     per_class = [rng.permutation(np.flatnonzero(labels == c))
@@ -109,11 +119,7 @@ def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
             if t < len(p):
                 order.append(p[t])
     order = np.array(order, dtype=np.int64)
-    chunks = [order[i:i + batch_size]
-              for i in range(0, len(order), batch_size)]
-    if len(chunks) > 1 and len(chunks[-1]) == 1:
-        chunks[-2:] = [np.concatenate(chunks[-2:])]
-    return chunks
+    return [order[s] for s in row_blocks(len(order), batch_size)]
 
 
 def make_batches(labels, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
@@ -198,23 +204,19 @@ SCORE_BLOCK_ROWS = 1024
 
 
 def _forward(net: Network, x: np.ndarray, with_sigma: bool):
-    """Eval-mode forward in row blocks: returns (predictions, uncertainty
-    scores or None).  A 1-row tail joins the block before it, since on
-    one row BLAS takes a matrix-vector kernel whose bits differ."""
+    """Eval-mode forward in row_blocks: returns (predictions, uncertainty
+    scores or None)."""
     n = x.shape[0]
-    starts = list(range(0, n, SCORE_BLOCK_ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
     preds = np.empty(n, dtype=np.intp)
     scores = np.empty(n) if with_sigma else None
-    for lo, hi in zip(starts, starts[1:] + [n]):
-        feats = forward_with_compensation(T.constant(x[lo:hi]), net, (),
+    for rows in row_blocks(n, SCORE_BLOCK_ROWS):
+        feats = forward_with_compensation(T.constant(x[rows]), net, (),
                                           0, 0, 0)
-        u = head_forward(net, feats, np.zeros(hi - lo, dtype=np.int64),
+        u = head_forward(net, feats, np.zeros(feats.shape[0], dtype=np.int64),
                          with_sigma=with_sigma)
-        preds[lo:hi] = np.argmax(class_logits(net, u.mean.values), axis=1)
+        preds[rows] = np.argmax(class_logits(net, u.mean.values), axis=1)
         if with_sigma:
-            scores[lo:hi] = uncertainty_score(u)
+            scores[rows] = uncertainty_score(u)
     return preds, scores
 
 
@@ -347,6 +349,22 @@ ABLATION_LADDER = [
 ]
 
 
+def class_count(train_ds: LabeledDataset, test_ds: LabeledDataset,
+                names=("train data", "test data")) -> int:
+    """Classes the classifier needs: one row per class up to the largest
+    label of either dataset.  A count above the two datasets' rows only
+    allocates rows no sample can train, so it raises DataFormatError
+    naming the dataset, before anything is sized by it."""
+    rows = len(train_ds) + len(test_ds)
+    for name, ds in zip(names, (train_ds, test_ds)):
+        if ds.num_classes > rows:
+            raise DataFormatError(
+                f"{name}: largest label {ds.num_classes - 1} implies "
+                f"{ds.num_classes} classes, more than the {rows} rows of "
+                "the train and test data")
+    return max(train_ds.num_classes, test_ds.num_classes)
+
+
 def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
                    test_ds: LabeledDataset, out_dir: str | None = None,
                    tag: str = "run") -> TrainResult:
@@ -358,11 +376,9 @@ def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
         raise DataFormatError(f"test data has {test_width} feature columns, "
                               f"train data has {width}")
 
-    grid = cfg.parse_grid()
-    net = build_vector_network(train_ds.features.shape[1],
-                               max(train_ds.num_classes, test_ds.num_classes),
+    net = build_vector_network(width, class_count(train_ds, test_ds),
                                cfg.embed_dim,
-                               [grid] * cfg.num_blocks, cfg.seed)
+                               [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
     result = fit(net, train_ds, test_ds, cfg)
 
     if out_dir is not None:

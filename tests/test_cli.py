@@ -319,9 +319,20 @@ def _oversized_grids(blob):
     return blob
 
 
+def _zero_width_embedding(blob):
+    """embed_dim 0 with buffers of matching (0-wide) shapes: consistent,
+    but it scores nothing."""
+    blob["arch"]["embed_dim"] = 0
+    params = blob["params"]
+    for name in ("mean_w", "mean_b", "sigma_w", "sigma_b", "classifier"):
+        shape = params[name]["shape"][:-1] + [0]
+        params[name] = {"shape": shape, "data": ""}
+    return blob
+
+
 @pytest.mark.parametrize("corrupt", [
     _list_payload, _no_arch, _arch_without_embed_dim, _non_base64_data,
-    _truncated_buffer, _oversized_grids],
+    _truncated_buffer, _oversized_grids, _zero_width_embedding],
     ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_checkpoint_exits_4(data_dir, tmp_path, capsys, corrupt):
     path = os.path.join(tmp_path, "ck.json")

@@ -6,15 +6,16 @@ import os
 import numpy as np
 import pytest
 
+import uqtrain.heads as heads
 import uqtrain.tensor as T
 from uqtrain.errors import ContractError, DataFormatError, ShapeError
 from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import (
     SIGMA_FLOOR,
-    build_network_from_arch,
     build_vector_network,
     head_forward,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     uncertainty_score,
 )
@@ -198,10 +199,41 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
         load_checkpoint(p3)
 
 
-def test_build_from_arch_round_trip():
-    net = make_net(seed=9)
-    again = build_network_from_arch(net.arch, seed=9)
-    for (name, pa), (_, pb) in zip(net.parameters(), again.parameters()):
-        assert pa.values.tobytes() == pb.values.tobytes(), name
+def test_parameters_follow_param_shapes():
+    """The network holds exactly the parameters param_shapes lists, in its
+    order, each in a buffer of its own; heads are the non-block names."""
+    net = build_vector_network(5, 3, embed_dim=4,
+                               grids=((2, 2, 3), (5, 2, 2)), seed=9)
+    listed = net.parameters()
+    assert [(n, p.shape) for n, p in listed] == param_shapes(net.arch)
+    buffers = [p.values for _, p in listed]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(buffers) for b in buffers[i + 1:])
+    assert net.head_param_names() == {"mean_w", "mean_b", "sigma_w",
+                                      "sigma_b", "classifier"}
+
+
+@pytest.mark.parametrize("change", [
+    {"family": "transformer"}, {"input_dim": 0}, {"embed_dim": 0},
+    {"num_classes": 1}, {"grids": [[4, 0, 2]]}, {"input_dim": "6"},
+    {"grids": [[4, 2.0, 2]]}, {"embed_dim": True}],
+    ids=["family", "input_dim", "embed_dim", "classes", "grid", "str-dim",
+         "float-grid", "bool-dim"])
+def test_param_shapes_rejects_bad_arch(change):
+    arch = dict(make_net().arch, **change)
     with pytest.raises(ContractError):
-        build_network_from_arch({"family": "transformer"})
+        param_shapes(arch)
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    net = make_net(seed=3)
+    path = os.path.join(tmp_path, "ck.json")
+    save_checkpoint(net, path)
+
+    def no_draws(*args):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(heads, "keyed_rng", no_draws)
+    loaded, _ = load_checkpoint(path)
+    for (name, pa), (_, pb) in zip(net.parameters(), loaded.parameters()):
+        assert pa.values.tobytes() == pb.values.tobytes(), name

@@ -475,6 +475,20 @@ def test_train_and_test_widths_must_match():
         run_experiment(small_config(epochs=1), train, narrow)
 
 
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_oversized_label_raises_before_sizing_the_classifier(which):
+    """A label of 10**10 would size a (10**10 + 1)-row classifier; the
+    library raises a data error, not numpy's MemoryError."""
+    pair = dict(zip(("train", "test"), small_data(seed=3)))
+    labels = pair[which].labels.copy()
+    labels[4] = 10 ** 10
+    pair[which] = replace(pair[which], labels=labels)
+    with pytest.raises(DataFormatError,
+                       match=f"{which} data: largest label 10000000000 "
+                             "implies 10000000001 classes, more than the 96"):
+        run_experiment(small_config(epochs=1), pair["train"], pair["test"])
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     train, test = small_data(seed=4)
     cfg = small_config(epochs=1)
