@@ -72,10 +72,10 @@ def compensate(feat: T.DiffArray, stats,
     if not fits:
         raise ShapeError(f"stats shape {(b, c)} does not match map "
                          f"{feat.shape}")
-    if np.shape(draw.eps_mean) != (b, c):
-        raise ShapeError(
-            f"perturbation shape {np.shape(draw.eps_mean)} does not match "
-            f"map ({b}, {c})")
+    for eps in (draw.eps_mean, draw.eps_std):
+        if np.shape(eps) != (b, c):
+            raise ShapeError(f"perturbation shape {np.shape(eps)} does not "
+                             f"match map ({b}, {c})")
     return T.perturb_stats(feat, stats.instance_mean.values,
                            stats.instance_std.values,
                            stats.std_of_means.values,

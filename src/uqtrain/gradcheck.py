@@ -2,10 +2,10 @@
 
 Every tape op gets checked against central differences on small random
 inputs (mix_partners and triplet_hinge on hand-picked partner indices),
-then the full training objective (backbone with compensation, heads,
-mixing, both loss terms) is checked end to end with the partner plan
-frozen at the base point, since index selection is not part of the
-differentiable surface.
+then the end-to-end case differentiates training.step_loss, the loss
+every train step builds (backbone with compensation, heads, mixing,
+both loss terms), with the partner plan held fixed at the base point,
+since index selection is not part of the differentiable surface.
 
 Each case draws its inputs and output weighting from its own generator,
 keyed by (seed, case name), so adding or deleting a case leaves every
@@ -23,13 +23,12 @@ import zlib
 import numpy as np
 
 from . import tensor as T
-from .compensation import (PerturbationDraw, compensate,
-                           forward_with_compensation)
+from .compensation import PerturbationDraw, compensate
+from .config import TrainConfig
 from .errors import ShapeError
-from .heads import build_vector_network, head_forward
-from .losses import ce_loss, mixup, total_loss, triplet_loss
-from .mining import mine_triplets
+from .heads import build_vector_network
 from .stats import layer_stats
+from .training import step_loss
 
 # |analytic - numeric| / max(1, |analytic|, |numeric|) must stay below this
 REL_TOL = 1e-4
@@ -133,8 +132,10 @@ def _op_cases(seed: int):
         lambda ars: T.class_cross_entropy(*ars, counts), (3, 5), (4, 5)))
 
 
-def end_to_end_case(seed: int):
-    """The full training objective as a function of the parameters.
+def end_to_end_case(seed: int, **switches):
+    """training.step_loss, the loss every train step builds, as a
+    function of the parameters: the full method unless switches set
+    TrainConfig's ingredient switches otherwise.
 
     Returns (f, params).  The partner plan is frozen at the base point;
     compensation draws are keyed, so every re-evaluation sees the same
@@ -142,30 +143,14 @@ def end_to_end_case(seed: int):
     function of the parameters.
     """
     rng = np.random.default_rng(10_000 + seed)
-    batch = 6
     net = build_vector_network(input_dim=4, num_classes=3, embed_dim=4,
                                grids=((3, 2, 2), (3, 2, 2)), seed=seed)
-    x = rng.standard_normal((batch, 4))
+    x = rng.standard_normal((6, 4))
     labels = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-    layers = (1, 2)
-
-    def objective(plan):
-        feats = forward_with_compensation(T.constant(x), net, layers,
-                                          seed, 0, 0)
-        u = head_forward(net, feats, labels)
-        mixed = mixup(u, plan)
-        ce = ce_loss(mixed.features, net.classifier, labels, plan)
-        tl = triplet_loss(u, plan, margin=1.0)
-        return total_loss(ce, tl, triplet_weight=0.003).total
-
-    # freeze the plan at the base point
-    feats = forward_with_compensation(T.constant(x), net, layers,
-                                      seed, 0, 0)
-    u = head_forward(net, feats, labels)
-    plan = mine_triplets(u, p=0.5, seed=seed, epoch=0, batch_index=0)
-
-    params = [p for _, p in net.parameters()]
-    return (lambda ars: objective(plan)), params
+    cfg = TrainConfig(seed=seed, mined_fraction=0.5, **switches)
+    _, plan = step_loss(net, x, labels, cfg, 0, 0)
+    return ((lambda ars: step_loss(net, x, labels, cfg, 0, 0, plan)[0].total),
+            [p for _, p in net.parameters()])
 
 
 def run_gradcheck(n_seeds: int = 3, verbose: bool = False) -> list:

@@ -101,6 +101,9 @@ def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,
     targets = np.zeros((b, k), dtype=np.float64)
     targets[np.arange(b), labels] += 1.0
     if plan is not None:
+        if np.shape(plan.valid_mask) != (b,):
+            raise ShapeError(f"valid_mask shape {np.shape(plan.valid_mask)} "
+                             f"does not match batch {b}")
         rows = np.flatnonzero(plan.valid_mask)
         for _, index in _partners(plan, include_pos, include_neg):
             targets[rows, labels[index[rows]]] += 1.0

@@ -25,6 +25,9 @@ from .rng import STREAM_MINE, keyed_rng
 
 # norm smoothing inside the cosine distance
 EPS_NORM = 1e-12
+# elementwise products per chunk of query rows: bounds the memory the
+# distances take at any batch size
+DOT_CHUNK = 2 ** 20
 
 
 @dataclass
@@ -60,7 +63,12 @@ def pairwise_cosine_distances(mu: np.ndarray, rows=None) -> np.ndarray:
         rows = np.arange(mu.shape[0])
     norms = np.sqrt(np.sum(mu ** 2, axis=1))
     den = np.outer(norms[rows], norms) + EPS_NORM
-    dots = np.sum(mu[rows][:, None, :] * mu[None, :, :], axis=2)
+    dots = np.empty(den.shape)
+    step = max(1, DOT_CHUNK // max(1, mu.size))
+    for lo in range(0, len(rows), step):
+        query = mu[rows[lo:lo + step]]
+        dots[lo:lo + step] = np.sum(query[:, None, :] * mu[None, :, :],
+                                    axis=2)
     return 1.0 - dots / den
 
 

@@ -312,6 +312,14 @@ def _partner_rows(index, b: int, opname: str) -> np.ndarray:
     return idx
 
 
+def _row_mask(keep, b: int, opname: str) -> np.ndarray:
+    k = np.asarray(keep, dtype=np.float64)
+    if k.shape != (b,):
+        raise ShapeError(f"{opname}: row mask must be ({b},), got shape "
+                         f"{k.shape}")
+    return k
+
+
 def _scatter_rows(index: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Add rows[i] into row index[i] of a zero array shaped like rows: one
     bincount over flat positions row * d + col, which sums in the same
@@ -346,7 +354,7 @@ def mix_partners(mean: DiffArray, sigma: DiffArray, partner_indices,
     w_self = s / denom
     w_p = [s[p] / denom for p in idx]
     mixed = sum((w * rows for w, rows in zip(w_p, m_p)), w_self * m)
-    k = np.asarray(keep, dtype=np.float64)[:, None]
+    k = _row_mask(keep, b, "mix_partners")[:, None]
     drop = 1.0 - k
     out = DiffArray(k * mixed + drop * m)
 
@@ -372,7 +380,7 @@ def triplet_hinge(mean: DiffArray, pos, neg, keep,
     m = mean.values
     d_pos, d_neg = m - m[pos], m - m[neg]
     gap = (d_pos * d_pos).sum(axis=1) - (d_neg * d_neg).sum(axis=1) + margin
-    k = np.asarray(keep, dtype=np.float64)
+    k = _row_mask(keep, b, "triplet_hinge")
     out = DiffArray(np.asarray((np.maximum(gap, 0.0) * k).sum()))
 
     def bw(g):
@@ -414,14 +422,17 @@ def check_gradients(f, arrays, h: float = 1e-4) -> float:
     differences for every requires_grad input.  Returns the worst
     relative error, |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
+    for arr in arrays:
+        arr.grad = None
     with Tape() as tape:
         out = f(arrays)
     backward(out, tape)
-    analytic = [a.grad.copy() if a.requires_grad else None for a in arrays]
     worst = 0.0
     for i, arr in enumerate(arrays):
         if not arr.requires_grad:
             continue
+        # an input the tape never reaches has no grad: its gradient is 0
+        analytic = np.zeros_like(arr.values) if arr.grad is None else arr.grad
         numeric = numeric_gradient(f, arrays, i, h)
-        worst = max(worst, max_rel_error(analytic[i], numeric))
+        worst = max(worst, max_rel_error(analytic, numeric))
     return worst

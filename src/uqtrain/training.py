@@ -32,7 +32,7 @@ from .heads import (
     uncertainty_score,
 )
 from .losses import LossBreakdown, ce_loss, mixup, total_loss, triplet_loss
-from .mining import mine_triplets
+from .mining import TripletPlan, mine_triplets
 from .rng import STREAM_BATCH, keyed_rng
 
 METRICS_COLUMNS = ["epoch", "step", "loss_total", "loss_ce", "loss_triplet",
@@ -130,6 +130,41 @@ def make_batches(labels, cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
 # single training step
 
 
+def step_loss(net: Network, x: np.ndarray, labels: np.ndarray,
+              cfg: TrainConfig, epoch: int, batch_index: int,
+              plan: TripletPlan | None = None
+              ) -> tuple[LossBreakdown, TripletPlan | None]:
+    """The training objective of one batch, as the four switches of cfg
+    compose it; returns (breakdown, plan).  A given plan replaces the
+    mined one; without a partner branch there is no plan at all."""
+    layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
+    # only the partner blend reads sigma, so a step without a partner
+    # branch builds no sigma head
+    partners = cfg.use_positive_branch or cfg.use_negative_branch
+    feats = forward_with_compensation(
+        T.constant(x), net, layers, cfg.seed, epoch, batch_index)
+    u = head_forward(net, feats, labels, with_sigma=partners)
+
+    if not partners:
+        plan = None
+    elif plan is None:
+        plan = mine_triplets(u, cfg.mined_fraction, cfg.seed, epoch,
+                             batch_index)
+
+    mixed = mixup(u, plan, include_pos=cfg.use_positive_branch,
+                  include_neg=cfg.use_negative_branch)
+    ce = ce_loss(mixed.features, net.classifier, labels, plan,
+                 include_pos=cfg.use_positive_branch,
+                 include_neg=cfg.use_negative_branch)
+
+    if (cfg.use_triplet_term and cfg.use_positive_branch
+            and cfg.use_negative_branch):
+        tl = triplet_loss(u, plan, cfg.margin)
+    else:
+        tl = T.constant(0.0)
+    return total_loss(ce, tl, cfg.triplet_weight), plan
+
+
 def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
                cfg: TrainConfig, opt: Adam, epoch: int,
                batch_index: int) -> LossBreakdown:
@@ -138,33 +173,8 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
     finite numbers."""
     if x.shape[0] < 2:
         raise DegenerateBatch("training batches need at least 2 samples")
-    layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
-    # only the partner blend reads sigma, so a step without a partner
-    # branch builds no sigma head
-    partners = cfg.use_positive_branch or cfg.use_negative_branch
-
     with T.Tape() as tape:
-        feats = forward_with_compensation(
-            T.constant(x), net, layers, cfg.seed, epoch, batch_index)
-        u = head_forward(net, feats, labels, with_sigma=partners)
-
-        plan = None
-        if partners:
-            plan = mine_triplets(u, cfg.mined_fraction, cfg.seed, epoch,
-                                 batch_index)
-
-        mixed = mixup(u, plan, include_pos=cfg.use_positive_branch,
-                      include_neg=cfg.use_negative_branch)
-        ce = ce_loss(mixed.features, net.classifier, labels, plan,
-                     include_pos=cfg.use_positive_branch,
-                     include_neg=cfg.use_negative_branch)
-
-        if (cfg.use_triplet_term and plan is not None
-                and cfg.use_positive_branch and cfg.use_negative_branch):
-            tl = triplet_loss(u, plan, cfg.margin)
-        else:
-            tl = T.constant(0.0)
-        breakdown = total_loss(ce, tl, cfg.triplet_weight)
+        breakdown, _ = step_loss(net, x, labels, cfg, epoch, batch_index)
 
     if not np.isfinite(breakdown.total.values):
         raise NumericalDivergence(

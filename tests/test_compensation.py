@@ -201,3 +201,10 @@ def test_stats_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         compensate(T.constant(feat[:2].reshape(2, 12)),
                    layer_stats(T.constant(feat)), zero_draw(4, 3))
+    # both noise fields must be (B, C); neither may broadcast
+    own = layer_stats(T.constant(feat))
+    for shape in ((3,), (1, 1)):
+        for draw in (PerturbationDraw(np.zeros(shape), np.zeros((4, 3))),
+                     PerturbationDraw(np.zeros((4, 3)), np.zeros(shape))):
+            with pytest.raises(ShapeError):
+                compensate(T.constant(feat), own, draw)

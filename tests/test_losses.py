@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uqtrain.tensor as T
-from uqtrain.errors import ContractError, LabelError
+from uqtrain.errors import ContractError, LabelError, ShapeError
 from uqtrain.heads import UncertainBatch
 from uqtrain.losses import ce_loss, mixup, total_loss, triplet_loss
 from uqtrain.mining import TripletPlan, mine_triplets
@@ -257,3 +257,19 @@ def test_total_is_exactly_ce_plus_weighted_triplet():
     out = total_loss(ce, tl, 0.003)
     assert float(out.total.values) == float(ce.values) \
         + 0.003 * float(tl.values)
+
+
+@pytest.mark.parametrize("mask", [[True], [True, True],
+                                  [[True]] * 4],
+                         ids=["one-row", "two-rows", "2-d"])
+def test_valid_mask_must_cover_the_batch(mask):
+    """A valid_mask that is not (B,) would broadcast in the blend and the
+    triplet term, and would drop partner labels in the cross entropy."""
+    u, plan = random_batch(np.random.default_rng(8), b=4)
+    plan.valid_mask = np.array(mask)
+    with pytest.raises(ShapeError):
+        mixup(u, plan)
+    with pytest.raises(ShapeError):
+        triplet_loss(u, plan, 1.0)
+    with pytest.raises(ShapeError):
+        ce_loss(u.mean, T.constant(np.ones((3, 5))), u.labels, plan)

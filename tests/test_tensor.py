@@ -154,21 +154,37 @@ def test_untouched_parameter_gets_zero_grad():
     np.testing.assert_array_equal(unused.grad, [0.0])
 
 
+def test_check_gradients_treats_an_unreached_input_as_zero_gradient():
+    """An input f never reads has no grad after the sweep; its gradient
+    is zero, and a stale grad left on it is not what gets compared.
+    Small integers and a power-of-two step make every difference exact."""
+    a = T.parameter(np.arange(6.0).reshape(2, 3))
+    b = T.parameter(np.arange(4.0))
+    b.grad = np.ones(4)
+    err = T.check_gradients(lambda ars: weighted_sum(ars[0], np.ones((2, 3))),
+                            [a, b], h=2.0 ** -10)
+    assert err == 0.0
+
+
 def test_mix_partners_raises_on_tiny_denominator():
     with pytest.raises(DegenerateDenominator):
         T.mix_partners(T.constant([[1.0], [2.0]]),
                        T.constant([[1e-13], [-1e-13]]), [[1, 1]], [1, 1])
 
 
-@pytest.mark.parametrize("index", [[[0, 1], [1, 0]], [0, 2], [-1, 0],
-                                   [0, 1, 0]],
-                         ids=["2-d", "past-end", "negative", "too-long"])
-def test_partner_indices_must_be_rows_of_the_batch(index):
+@pytest.mark.parametrize("index, keep", [
+    ([[0, 1], [1, 0]], [1, 1]), ([0, 2], [1, 1]), ([-1, 0], [1, 1]),
+    ([0, 1, 0], [1, 1]),
+    # the row mask must be (B,) too: a shorter or 2-d one would broadcast
+    ([1, 0], [1]), ([1, 0], [1, 1, 1]), ([1, 0], [[1], [1]])],
+    ids=["2-d", "past-end", "negative", "too-long",
+         "mask-short", "mask-long", "mask-2-d"])
+def test_partner_indices_must_be_rows_of_the_batch(index, keep):
     mean = T.constant(np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        T.mix_partners(mean, mean, [index], [1, 1])
+        T.mix_partners(mean, mean, [index], keep)
     with pytest.raises(ShapeError):
-        T.triplet_hinge(mean, [0, 1], index, [1, 1], 1.0)
+        T.triplet_hinge(mean, [0, 1], index, keep, 1.0)
 
 
 @pytest.mark.parametrize("x, w, b", [((2, 3), (4, 2), (2,)),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import uqtrain.tensor as T
-from uqtrain import config, training
+from uqtrain import config, gradcheck, training
 from uqtrain.compensation import forward_with_compensation
 from uqtrain.config import TrainConfig
 from uqtrain.data import LabeledDataset, make_blobs, split_dataset
@@ -260,6 +260,43 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     assert seen["dead"] == []
     partners = cfg.use_positive_branch or cfg.use_negative_branch
     assert (seen["u"].sigma is not None) == partners
+
+
+@pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
+                         ids=[tag for tag, _ in ABLATION_LADDER])
+def test_every_rung_objective_matches_finite_differences(tag, overrides):
+    """step_loss of each ablation rung, the plan frozen at the base point,
+    against central differences over all 9 parameters, on the audit's
+    net and batch.  Without a partner branch the sigma head is off the
+    tape and its gradient is zero."""
+    f, params = gradcheck.end_to_end_case(0, **overrides)
+    assert len(params) == 9
+    assert T.check_gradients(f, params, h=gradcheck.FD_STEP) \
+        < gradcheck.REL_TOL
+
+
+def test_step_loss_takes_a_given_plan_only_with_a_partner_branch():
+    """A given plan replaces the mined one; without a partner branch it
+    is ignored, and the step has no plan."""
+    ds = make_blobs(3, 6, 12, 1.0, seed=0)
+    net = build_vector_network(6, 3, 8, [(4, 2, 2)] * 2, seed=0)
+    n = len(ds)
+    swap = TripletPlan(pos_index=np.roll(np.arange(n), 1),
+                       neg_index=np.roll(np.arange(n), 2),
+                       mined_mask=np.zeros(n, dtype=bool),
+                       valid_mask=np.ones(n, dtype=bool))
+    for tag, overrides in ABLATION_LADDER:
+        cfg = small_config(**overrides)
+        mined_loss, mined = training.step_loss(net, ds.features, ds.labels,
+                                               cfg, 0, 0)
+        loss, plan = training.step_loss(net, ds.features, ds.labels, cfg,
+                                        0, 0, swap)
+        if tag in ("baseline", "compensation"):
+            assert mined is None and plan is None, tag
+            assert loss.scalars() == mined_loss.scalars(), tag
+        else:
+            assert plan is swap and mined is not swap, tag
+            assert loss.scalars() != mined_loss.scalars(), tag
 
 
 def test_parameter_off_the_tape_steps_with_a_zero_gradient():
