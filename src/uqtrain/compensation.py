@@ -17,8 +17,12 @@ evaluation runs the plain forward pass.
 
 A block's output F stays flat, (B, C * H * W), on the tape.  Its
 (C, H, W) grid is metadata the block carries: the statistics read an
-off-tape (B, C, H, W) view, and the compensation node views F as
-(B, C, H * W).
+off-tape (B, C, H, W) view.  Both the statistics and the compensation
+node work on position planes, F read as (B, C, H * W) and transposed
+to (H * W, B, C), so every (B, C) operand broadcasts along the leading
+axis and every spatial sum adds whole planes.  F is copied into planes
+once for the statistics, and the node copies its output back into F's
+flat layout once (and its incoming gradient into planes once).
 """
 
 from dataclasses import dataclass
@@ -46,10 +50,11 @@ class PerturbationDraw:
 
 def draw_perturbation(batch_size: int, channels: int, seed: int, epoch: int,
                       batch_index: int, layer_index: int) -> PerturbationDraw:
-    """Draw the noise for (seed, epoch, batch, layer); same key, same noise."""
+    """Draw the noise for (seed, epoch, batch, layer); same key, same noise.
+    One call fills both fields, the shift's first, from the same stream
+    in the same order as two calls would."""
     rng = keyed_rng(seed, STREAM_PERTURB, epoch, batch_index, layer_index)
-    eps_mean = rng.standard_normal((batch_size, channels))
-    eps_std = rng.standard_normal((batch_size, channels))
+    eps_mean, eps_std = rng.standard_normal((2, batch_size, channels))
     return PerturbationDraw(eps_mean=eps_mean, eps_std=eps_std)
 
 
@@ -60,23 +65,24 @@ def compensate(feat: T.DiffArray, stats,
     has feat's shape.
 
     stats must be the LayerStats of this exact map: its values are
-    constants, and the node's backward differentiates through them in
+    constants, its centered planes are reused rather than recomputed,
+    and the node's backward differentiates through the statistics in
     closed form, so the network still feels how its own feature
     distribution shifts under the jitter.
     """
-    b, c = stats.instance_mean.shape
-    if feat.ndim == 4:
-        fits = feat.shape[:2] == (b, c)
-    else:
-        fits = feat.ndim == 2 and feat.shape[0] == b and feat.shape[1] % c == 0
+    n, b, c = stats.centered.shape
+    fits = (feat.ndim in (2, 4) and feat.shape[0] == b
+            and feat.size == n * b * c
+            and (feat.ndim == 2 or feat.shape[1] == c))
     if not fits:
-        raise ShapeError(f"stats shape {(b, c)} does not match map "
-                         f"{feat.shape}")
+        raise ShapeError(f"stats of a {(b, c)} map at {n} positions do not "
+                         f"match map {feat.shape}")
     for eps in (draw.eps_mean, draw.eps_std):
         if np.shape(eps) != (b, c):
             raise ShapeError(f"perturbation shape {np.shape(eps)} does not "
                              f"match map ({b}, {c})")
-    return T.perturb_stats(feat, stats.instance_mean.values,
+    return T.perturb_stats(feat, stats.centered.values,
+                           stats.instance_mean.values,
                            stats.instance_std.values,
                            stats.std_of_means.values,
                            stats.std_of_stds.values,

@@ -67,13 +67,20 @@ def _normals(op_fn, *shapes, scale=1.0):
                                 for sh in shapes])
 
 
-def _spread_map(rng):
-    """The smallest map layer_stats accepts, 2 samples of 3 channels at 2
-    positions, with every spatial std in [0.25, 2.75] and every batch
-    spread of the means and of the stds at least 0.25."""
+def _spreads(rng):
+    """(2, 3) spatial means u and stds s for 2 samples of 3 channels:
+    every s in [0.25, 2.75], and every batch spread of u and of s at
+    least 0.25."""
     side = np.array([[-1.0], [1.0]])   # sample 0 below, sample 1 above
     u = rng.standard_normal(3) + side * rng.uniform(0.25, 1.0, 3)
     s = rng.uniform(1.0, 2.0, 3) + side * rng.uniform(0.25, 0.75, 3)
+    return u, s
+
+
+def _spread_map(rng):
+    """The smallest map layer_stats accepts, 2 samples of 3 channels at 2
+    positions, with the spreads of _spreads."""
+    u, s = _spreads(rng)
     # the two positions u -+ s have spatial mean u and population std s
     pair = rng.choice([-1.0, 1.0], (2, 3, 1, 1)) * np.array([-1.0, 1.0])
     return u[:, :, None, None] + s[:, :, None, None] * pair
@@ -83,6 +90,24 @@ def _compensated(rng):
     noise = PerturbationDraw(*rng.standard_normal((2, 2, 3)))
     return ((lambda ars: compensate(ars[0], layer_stats(ars[0]), noise)),
             [_spread_map(rng)])
+
+
+def _compensated_flat_3x3(rng):
+    """compensate on a block's flat (2, 27) output read as a 3x3 grid of
+    3 channels, 9 positions, past the 8 at which numpy starts summing
+    pairwise; each channel's positions are standardized to the spatial
+    mean u and population std s of _spreads."""
+    noise = PerturbationDraw(*rng.standard_normal((2, 2, 3)))
+    u, s = _spreads(rng)
+    z = rng.standard_normal((2, 3, 9))
+    z = (z - z.mean(axis=2, keepdims=True)) / z.std(axis=2, keepdims=True)
+    flat = (u[:, :, None] + s[:, :, None] * z).reshape(2, 27)
+
+    def op(ars):
+        grid = T.constant(ars[0].values.reshape(2, 3, 3, 3))
+        return compensate(ars[0], layer_stats(grid), noise)
+
+    return op, [flat]
 
 
 def _off_kink(rng):
@@ -105,6 +130,7 @@ def _op_cases(seed: int):
     yield _case("affine", seed,
                 _normals(lambda ars: T.affine(*ars), (3, 4), (4, 2), (2,)))
     yield _case("perturb_stats", seed, _compensated)
+    yield _case("perturb_stats_flat_3x3", seed, _compensated_flat_3x3)
 
     # sigmas >= 0.5 keep the weights' FD quotients well behaved; with two
     # partners row 0 is a partner three times over and row 2 is not mixed

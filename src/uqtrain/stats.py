@@ -10,8 +10,15 @@ For a feature map F of shape (B, C, H, W) we track two levels:
 The batch-level spreads say how much the instance statistics wobble
 across the batch, which is exactly the scale the compensation module
 uses for its perturbation draws.  All six statistics are plain
-constants: the compensation op's backward differentiates through them
-itself, so none of them goes on the tape.
+constants, and so are the centered planes below: the compensation op's
+backward differentiates through them itself, so none of them goes on
+the tape.
+
+The instance level runs on position planes: the map is copied once into
+(H * W, B, C), so each spatial reduction adds H * W planes of B * C
+values (tensor.plane_sum, in numpy's own summation order) instead of
+running B * C reductions of H * W values each.  The centered planes
+x - U are kept for the compensation op, which reads them too.
 """
 
 from dataclasses import dataclass
@@ -36,6 +43,7 @@ class LayerStats:
     std_of_means: T.DiffArray    # (C,)
     mean_of_stds: T.DiffArray    # (C,)
     std_of_stds: T.DiffArray     # (C,)
+    centered: T.DiffArray        # (H * W, B, C) planes of x - U
 
 
 def _std(x, mean, axis):
@@ -49,19 +57,22 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
     taken once and serves its std too."""
     if feat.ndim != 4:
         raise ShapeError(f"layer_stats needs a 4-d map, got {feat.shape}")
-    if feat.shape[2] * feat.shape[3] < 2:
+    b, c, h, w = feat.shape
+    if h * w < 2:
         raise DegenerateSpatialDims(
-            f"spatial std needs at least 2 positions, map is "
-            f"{feat.shape[2]}x{feat.shape[3]}")
-    if feat.shape[0] < 2:
+            f"spatial std needs at least 2 positions, map is {h}x{w}")
+    if b < 2:
         raise DegenerateBatch("batch statistics need at least 2 samples")
-    x = feat.values
-    u = x.mean(axis=(2, 3))
-    s = _std(x, u[:, :, None, None], (2, 3))
+    planes = np.ascontiguousarray(
+        feat.values.reshape(b, c, h * w).transpose(2, 0, 1))
+    u = T.plane_sum(planes) / (h * w)
+    centered = planes - u
+    s = np.sqrt(T.plane_sum(centered * centered) / (h * w) + EPS_VAR)
     u_bar, s_bar = u.mean(axis=0), s.mean(axis=0)
     return LayerStats(instance_mean=T.constant(u),
                       instance_std=T.constant(s),
                       mean_of_means=T.constant(u_bar),
                       std_of_means=T.constant(_std(u, u_bar, 0)),
                       mean_of_stds=T.constant(s_bar),
-                      std_of_stds=T.constant(_std(s, s_bar, 0)))
+                      std_of_stds=T.constant(_std(s, s_bar, 0)),
+                      centered=T.constant(centered))

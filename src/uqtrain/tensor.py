@@ -234,44 +234,70 @@ def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
 # statistics op: a whole compensated layer is one node
 
 
-def perturb_stats(x: DiffArray, u, s, sm, ss, eps_m, eps_s,
+def plane_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum of an (n, ...) stack of planes over its leading axis, in the
+    order numpy's pairwise summation adds n contiguous values: one after
+    another below 8, as eight interleaved partial sums joined in a tree
+    up to 128, and as two halves cut at a multiple of 8 above that.  So
+    it equals the stack's transpose summed over its last axis bit for
+    bit, while each add runs over a whole plane, not over n values."""
+    n = planes.shape[0]
+    if n < 8:
+        return np.add.reduce(planes, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return plane_sum(planes[:half]) + plane_sum(planes[half:])
+    whole = n - n % 8
+    # + 0.0, not a copy: from 8 values on numpy sums negative zeros to
+    # +0.0, and the sign of a zero addend changes no other sum
+    r = planes[:8] + 0.0
+    for i in range(8, whole, 8):
+        r += planes[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for p in planes[whole:]:
+        total += p
+    return total
+
+
+def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
                   eps_div: float) -> DiffArray:
     """Re-standardize a map by its instance statistics and re-scale and
     re-shift it by jittered ones:
 
         out = (s + eps_s * ss) * ((x - u) / (s + eps_div)) + (u + eps_m * sm)
 
-    x is a (B, C * H * W) block output or its (B, C, H, W) view; either
-    way the op reads it as (B, C, H * W), with C the width of u, and the
-    output keeps x's shape.  u, s are the (B, C) spatial mean and
-    smoothed population std of this exact x, and sm, ss the (C,) smoothed
-    population stds of u and s over the batch, all plain arrays; the
-    backward differentiates through them in closed form.  eps_m, eps_s
-    are (B, C) noise fields.  The caller checks the shapes.
+    x is a (B, C * H * W) block output or its (B, C, H, W) view, and the
+    output keeps x's shape.  The op works on position planes: x read as
+    (B, C, H * W) and transposed to (H * W, B, C), so every (B, C)
+    operand broadcasts along the leading axis and every spatial sum is a
+    plane_sum.  centered is x - u on those planes, as layer_stats leaves
+    it.  u, s are the (B, C) spatial mean and smoothed population std of
+    this exact x, and sm, ss the (C,) smoothed population stds of u and
+    s over the batch, all plain arrays; the backward differentiates
+    through them in closed form.  eps_m, eps_s are (B, C) noise fields.
+    The caller checks the shapes.
     """
-    b, c = u.shape
-    scale = (s + eps_s * ss)[:, :, None]
-    shift = (u + eps_m * sm)[:, :, None]
-    centered = x.values.reshape(b, c, -1) - u[:, :, None]
-    denom = s[:, :, None] + eps_div
-    out = DiffArray((scale * (centered / denom) + shift).reshape(x.shape))
-    n = centered.shape[2]
+    n, b, c = centered.shape
+    scale = s + eps_s * ss
+    denom = s + eps_div
+    planes = scale * (centered / denom) + (u + eps_m * sm)
+    out = DiffArray(planes.transpose(1, 2, 0).reshape(x.shape))
 
     def bw(g):
         # every divisor is at least 1e-6: s, sm and ss carry the variance
         # smoothing and denom adds eps_div, so no DegenerateDenominator guard
-        g = g.reshape(b, c, n)
+        g = np.ascontiguousarray(g.reshape(b, c, n).transpose(2, 0, 1))
         a = scale / denom
-        keep = 1.0 - a[:, :, 0]
-        g_sum = g.sum(axis=2)
-        gn_sum = (g * centered / denom).sum(axis=2)
+        keep = 1.0 - a
+        g_sum = plane_sum(g)
+        gn_sum = plane_sum(g * centered / denom)
         # d loss / d u and d loss / d s, the batch stds sm, ss included
         gu = (g_sum * keep + (u - u.mean(axis=0))
               * (eps_m * g_sum).sum(axis=0) / (b * sm))
         gs = (gn_sum * keep + (s - s.mean(axis=0))
               * (eps_s * gn_sum).sum(axis=0) / (b * ss))
-        return ((g * a + (gu / n)[:, :, None]
-                 + centered * (gs / (n * s))[:, :, None]).reshape(x.shape),)
+        gx = g * a + gu / n + centered * (gs / (n * s))
+        return (gx.transpose(1, 2, 0).reshape(x.shape),)
 
     return _record(out, (x,), bw)
 

@@ -109,16 +109,13 @@ def balanced_batches(labels: np.ndarray, batch_size: int, seed: int,
     classes round-robin before chunking, so every batch sees every class
     at close to its global proportion, then cut by row_blocks."""
     rng = keyed_rng(seed, STREAM_BATCH, epoch)
-    classes = np.unique(labels)
     per_class = [rng.permutation(np.flatnonzero(labels == c))
-                 for c in classes]
-    longest = max(len(p) for p in per_class)
-    order = []
-    for t in range(longest):
-        for p in per_class:
-            if t < len(p):
-                order.append(p[t])
-    order = np.array(order, dtype=np.int64)
+                 for c in np.unique(labels)]
+    # round t of the deal takes the t-th row of every class that still
+    # has one, in class order: a stable sort by rank within the class
+    shuffled = np.concatenate(per_class).astype(np.int64, copy=False)
+    rank = np.concatenate([np.arange(len(p)) for p in per_class])
+    order = shuffled[np.argsort(rank, kind="stable")]
     return [order[s] for s in row_blocks(len(order), batch_size)]
 
 
@@ -364,7 +361,9 @@ def class_count(train_ds: LabeledDataset, test_ds: LabeledDataset,
     """Classes the classifier needs: one row per class up to the largest
     label of either dataset.  A count above the two datasets' rows only
     allocates rows no sample can train, so it raises DataFormatError
-    naming the dataset, before anything is sized by it."""
+    naming the dataset, before anything is sized by it; a count below 2
+    leaves nothing to classify, so it raises DataFormatError naming
+    both."""
     rows = len(train_ds) + len(test_ds)
     for name, ds in zip(names, (train_ds, test_ds)):
         if ds.num_classes > rows:
@@ -372,7 +371,12 @@ def class_count(train_ds: LabeledDataset, test_ds: LabeledDataset,
                 f"{name}: largest label {ds.num_classes - 1} implies "
                 f"{ds.num_classes} classes, more than the {rows} rows of "
                 "the train and test data")
-    return max(train_ds.num_classes, test_ds.num_classes)
+    count = max(train_ds.num_classes, test_ds.num_classes)
+    if count < 2:
+        raise DataFormatError(
+            f"{names[0]} and {names[1]}: labels imply {count} class(es) "
+            "(largest label + 1), a classifier needs at least 2")
+    return count
 
 
 def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,

@@ -442,6 +442,29 @@ def test_oversized_label_exits_4(data_dir, tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_single_class_data_exits_4(data_dir, tmp_path, capsys, command):
+    """A train/test pair whose labels are all 0 holds one class; the run
+    stops at load with a data error naming both files."""
+    paths = {}
+    for split in ("train", "test"):
+        with open(data_dir[split]) as f:
+            rows = [line.rsplit(",", 1)[0] + ",0"
+                    for line in f.read().splitlines()]
+        paths[split] = os.path.join(tmp_path, f"{split}0.csv")
+        with open(paths[split], "w") as f:
+            f.write("\n".join(rows) + "\n")
+    out = os.path.join(tmp_path, "x")
+    assert main([command, "--out", out]
+                + fast_args(dict(data_dir, **paths))) == EXIT_IO
+    captured = capsys.readouterr()
+    assert (f"i/o error: {paths['train']} and {paths['test']}: labels "
+            "imply 1 class(es)") in captured.err
+    assert "at least 2" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["eval", "reject-curve", "ablate"])
 def test_failed_csv_write_keeps_previous_file(data_dir, tmp_path, capsys,
                                               monkeypatch, command):

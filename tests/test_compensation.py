@@ -14,7 +14,8 @@ from uqtrain.compensation import (
 from uqtrain.errors import ShapeError
 from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import build_vector_network
-from uqtrain.stats import layer_stats
+from uqtrain.rng import STREAM_PERTURB, keyed_rng
+from uqtrain.stats import EPS_VAR, layer_stats
 
 ALL = (1, 2)
 
@@ -208,3 +209,99 @@ def test_stats_shape_mismatch_rejected():
                      PerturbationDraw(np.zeros((4, 3)), np.zeros(shape))):
             with pytest.raises(ShapeError):
                 compensate(T.constant(feat), own, draw)
+
+
+# ---------------------------------------------------------------------------
+# the position-plane layout against the (B, C, H * W) formulas it replaced
+
+
+def channel_axis_stats(x4):
+    """layer_stats as the (B, C, H * W) layout computed it: numpy's
+    spatial reductions over each channel's H * W contiguous values."""
+    def std(x, mean, axis):
+        return np.sqrt(np.mean((x - mean) ** 2, axis=axis) + EPS_VAR)
+    u = x4.mean(axis=(2, 3))
+    s = std(x4, u[:, :, None, None], (2, 3))
+    u_bar, s_bar = u.mean(axis=0), s.mean(axis=0)
+    return u, s, u_bar, std(u, u_bar, 0), s_bar, std(s, s_bar, 0)
+
+
+def channel_axis_perturb(x, u, s, sm, ss, eps_m, eps_s, g):
+    """perturb_stats' output and input gradient for an output gradient g,
+    with x read as (B, C, H * W) and (B, C, 1) operands."""
+    b, c = u.shape
+    scale = (s + eps_s * ss)[:, :, None]
+    shift = (u + eps_m * sm)[:, :, None]
+    centered = x.reshape(b, c, -1) - u[:, :, None]
+    denom = s[:, :, None] + EPS_DIV
+    out = (scale * (centered / denom) + shift).reshape(x.shape)
+    n = centered.shape[2]
+    g = g.reshape(b, c, n)
+    a = scale / denom
+    keep = 1.0 - a[:, :, 0]
+    g_sum = g.sum(axis=2)
+    gn_sum = (g * centered / denom).sum(axis=2)
+    gu = (g_sum * keep + (u - u.mean(axis=0))
+          * (eps_m * g_sum).sum(axis=0) / (b * sm))
+    gs = (gn_sum * keep + (s - s.mean(axis=0))
+          * (eps_s * gn_sum).sum(axis=0) / (b * ss))
+    gx = (g * a + (gu / n)[:, :, None]
+          + centered * (gs / (n * s))[:, :, None]).reshape(x.shape)
+    return out, gx
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+# 2 to 7 positions, where numpy adds left to right, then grids from 8
+# positions on, where it sums pairwise (above 128 in halves)
+GRIDS = [(1, 2), (1, 3), (2, 2), (1, 5), (2, 3), (1, 7),
+         (2, 4), (3, 3), (4, 4), (1, 17), (12, 12)]
+
+
+@pytest.mark.parametrize("h, w", GRIDS, ids=[f"{h}x{w}" for h, w in GRIDS])
+@pytest.mark.parametrize("flat", [False, True], ids=["4d", "flat"])
+def test_position_planes_repeat_the_channel_axis_formulas_bitwise(h, w,
+                                                                  flat):
+    """layer_stats and the compensation op's forward and backward give
+    the (B, C, H * W) formulas' bits, signs of zero included, on a 4-d
+    map and on a block's flat output."""
+    rng = np.random.default_rng(h * 100 + w)
+    b, c = 5, 3
+    x4 = rng.standard_normal((b, c, h, w)) * rng.uniform(0.5, 3.0, (b, c, 1, 1))
+    x4[0, 1] = -0.0                  # one channel of negative zeros
+    g4 = rng.standard_normal(x4.shape)
+    g4[1, 2] = -0.0
+    st = layer_stats(T.constant(x4))
+    expect = channel_axis_stats(x4)
+    for got, want in zip((st.instance_mean, st.instance_std,
+                          st.mean_of_means, st.std_of_means,
+                          st.mean_of_stds, st.std_of_stds), expect):
+        assert_same_bits(got.values, want)
+
+    shape = (b, c * h * w) if flat else x4.shape
+    draw = draw_perturbation(b, c, seed=h, epoch=w, batch_index=0,
+                             layer_index=1)
+    x = T.parameter(x4.reshape(shape))
+    with T.Tape() as tape:
+        out = compensate(x, st, draw)
+    (gx,) = tape.nodes[0].backward(g4.reshape(shape))
+    want_out, want_gx = channel_axis_perturb(
+        x4.reshape(shape), *expect[:2], expect[3], expect[5],
+        draw.eps_mean, draw.eps_std, g4.reshape(shape))
+    assert out.shape == gx.shape == shape
+    assert_same_bits(out.values, want_out)
+    assert_same_bits(gx, want_gx)
+
+
+def test_one_draw_repeats_two_draws_from_the_stream():
+    """Both fields come from one call, in the order two calls gave."""
+    rng = keyed_rng(4, STREAM_PERTURB, 1, 2, 3)
+    eps_mean = rng.standard_normal((6, 5))
+    eps_std = rng.standard_normal((6, 5))
+    d = draw_perturbation(6, 5, seed=4, epoch=1, batch_index=2,
+                          layer_index=3)
+    assert d.eps_mean.tobytes() == eps_mean.tobytes()
+    assert d.eps_std.tobytes() == eps_std.tobytes()

@@ -23,6 +23,7 @@ from uqtrain.heads import (
     uncertainty_score,
 )
 from uqtrain.mining import TripletPlan
+from uqtrain.rng import STREAM_BATCH, keyed_rng
 from uqtrain.training import (
     ABLATION_LADDER,
     METRICS_COLUMNS,
@@ -32,6 +33,7 @@ from uqtrain.training import (
     fit,
     make_batches,
     rejection_accuracies,
+    row_blocks,
     run_experiment,
     train_step,
     write_metrics_csv,
@@ -101,6 +103,38 @@ def test_balanced_batches_interleave_classes():
     for batch in batches:
         counts = np.bincount(labels[batch], minlength=3)
         assert counts.min() >= 3          # near-proportional representation
+
+
+def loop_balanced_order(labels, seed, epoch):
+    """The round-robin deal as a loop: shuffle each class's rows, then
+    take the t-th row of every class that still has one, for t = 0, 1,
+    ..."""
+    rng = keyed_rng(seed, STREAM_BATCH, epoch)
+    per_class = [rng.permutation(np.flatnonzero(labels == c))
+                 for c in np.unique(labels)]
+    order = []
+    for t in range(max(len(p) for p in per_class)):
+        for p in per_class:
+            if t < len(p):
+                order.append(p[t])
+    return np.array(order, dtype=np.int64)
+
+
+@pytest.mark.parametrize("counts", [{0: 7, 2: 3, 5: 1}, {1: 40, 3: 2},
+                                    {0: 20, 1: 20, 2: 20}, {4: 9}])
+def test_balanced_batches_repeat_the_round_robin_loop_bitwise(counts):
+    """Uneven classes and gaps in the labels: the batches are the loop's
+    deal cut by row_blocks, dtype included."""
+    rng = np.random.default_rng(len(counts))
+    labels = rng.permutation(np.repeat(list(counts), list(counts.values())))
+    for epoch in range(3):
+        order = loop_balanced_order(labels, 7, epoch)
+        batches = balanced_batches(labels, 4, seed=7, epoch=epoch)
+        expect = [order[s] for s in row_blocks(len(order), 4)]
+        assert len(batches) == len(expect)
+        for got, want in zip(batches, expect):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
 
 
 def test_batches_change_across_epochs_but_replay_within():
@@ -524,6 +558,18 @@ def test_oversized_label_raises_before_sizing_the_classifier(which):
                        match=f"{which} data: largest label 10000000000 "
                              "implies 10000000001 classes, more than the 96"):
         run_experiment(small_config(epochs=1), pair["train"], pair["test"])
+
+
+def test_single_class_pair_raises_a_data_error():
+    """Labels that are all 0 imply one class; the library raises a data
+    error naming both datasets, not the arch check's ContractError."""
+    train, test = small_data(seed=3)
+    train, test = (replace(ds, labels=np.zeros_like(ds.labels))
+                   for ds in (train, test))
+    with pytest.raises(DataFormatError,
+                       match="train data and test data: labels imply 1 "
+                             "class"):
+        run_experiment(small_config(epochs=1), train, test)
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
