@@ -7,9 +7,11 @@ sample of a different label as negative.  The rest of the batch gets
 uniformly drawn label-respecting partners, which keeps early training
 easy and lets the hard pairs take over as p says.
 
-Only the mined rows get distances, and every partner is picked with
-array operations over the batch's label masks: one masked arg-extremum
-for the mined rows, one draw call for all the random ones.
+Only the mined rows get distances, from one matrix product over the
+batch's distinct rows.  Every partner is picked from one stable sort of
+the labels: a masked arg-extremum over the mined rows' distances, and
+one draw call plus index arithmetic on the sorted classes for all the
+random ones.
 
 Selection works on detached values; gradients enter later through the
 gathered embeddings, not through the argmax itself.
@@ -25,9 +27,6 @@ from .rng import STREAM_MINE, keyed_rng
 
 # norm smoothing inside the cosine distance
 EPS_NORM = 1e-12
-# elementwise products per chunk of query rows: bounds the memory the
-# distances take at any batch size
-DOT_CHUNK = 2 ** 20
 
 
 @dataclass
@@ -46,35 +45,39 @@ class TripletPlan:
     valid_mask: np.ndarray  # (B,) bool
 
 
+def _check_embeddings(mu: np.ndarray) -> None:
+    if mu.ndim != 2 or mu.shape[1] == 0:
+        raise ShapeError(f"need a 2-d embedding matrix with at least one "
+                         f"column, got {mu.shape}")
+
+
 def pairwise_cosine_distances(mu: np.ndarray, rows=None) -> np.ndarray:
     """Cosine distances from the query rows of (B, d) to all B rows.
 
-    rows indexes the query rows (all of them when omitted), so the
-    result is (len(rows), B) and equals those rows of the full matrix bit
-    for bit.  The dot products are reduced element by element rather than
-    through a blocked matrix multiply: identical rows then produce
-    bitwise-identical distances, so ties between duplicated embeddings
-    resolve by index order at any scale of mu.
+    rows indexes the query rows (all of them when omitted); the result is
+    (len(rows), B).  The dot products come from one matrix product over
+    the distinct rows of mu (-0.0 counts as +0.0), and each batch column
+    is gathered from its distinct row's column.  Identical rows therefore
+    give bitwise-identical distances in every query row, so ties between
+    duplicated embeddings resolve by index order at any scale of mu.
+    Other entries match the elementwise formula to rounding, which
+    depends on the BLAS and on how many rows are queried.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    if mu.ndim != 2:
-        raise ShapeError(f"need a 2-d embedding matrix, got {mu.shape}")
+    _check_embeddings(mu)
     if rows is None:
         rows = np.arange(mu.shape[0])
-    norms = np.sqrt(np.sum(mu ** 2, axis=1))
-    den = np.outer(norms[rows], norms) + EPS_NORM
-    dots = np.empty(den.shape)
-    step = max(1, DOT_CHUNK // max(1, mu.size))
-    for lo in range(0, len(rows), step):
-        query = mu[rows[lo:lo + step]]
-        dots[lo:lo + step] = np.sum(query[:, None, :] * mu[None, :, :],
-                                    axis=2)
-    return 1.0 - dots / den
-
-
-def _kth_true(mask: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Column of the k[r]-th (0-based) True entry in each row of mask."""
-    return np.argmax(np.cumsum(mask, axis=1) > k[:, None], axis=1)
+    # one opaque item per row, so np.unique compares whole rows bytewise
+    keys = np.ascontiguousarray(mu + 0.0).view(
+        np.dtype((np.void, mu.itemsize * mu.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    uniq = mu[first]
+    norms = np.sqrt(np.sum(uniq ** 2, axis=1))
+    query = inverse[rows]
+    dots = uniq[query] @ uniq.T
+    dots /= np.outer(norms[query], norms) + EPS_NORM
+    return (1.0 - dots)[:, inverse]
 
 
 def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
@@ -85,27 +88,34 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
     hardest partners from their distance rows (the only rows computed),
     the rest get seeded uniform label-respecting ones from a single draw
     call, in row order, positive before negative, as a per-row loop would
-    draw them.  A row without a same-label or a different-label partner
-    is invalid and keeps itself as the missing partner.
+    draw them: the k-th same-label or different-label row in index
+    order.  A row without a same-label or a different-label partner is
+    invalid and keeps itself as the missing partner.
     """
     if not 0.0 <= p <= 1.0:
         raise ContractError(f"mined fraction must be in [0, 1], got {p}")
     mu = u.mean.values
     labels = u.labels
+    _check_embeddings(mu)
     b = mu.shape[0]
     if b < 2:
         raise DegenerateBatch(f"mining needs at least 2 samples, got {b}")
     if labels.shape != (b,):
         raise ShapeError(f"labels shape {labels.shape} does not match "
                          f"batch {b}")
-    if mu.ndim != 2:
-        raise ShapeError(f"need a 2-d embedding matrix, got {mu.shape}")
 
-    same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(b, dtype=bool)
-    neg_mask = ~same
-    n_pos = pos_mask.sum(axis=1)
-    n_neg = neg_mask.sum(axis=1)
+    # order lists each class's rows in index order, classes one after
+    # another; row i's class fills order[start[i]:start[i] + count[i]],
+    # with i itself at offset rank[i]
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    start = np.searchsorted(sorted_labels, labels, side="left")
+    count = np.searchsorted(sorted_labels, labels, side="right") - start
+    sorted_rank = np.arange(b) - start[order]
+    rank = np.empty(b, dtype=np.int64)
+    rank[order] = sorted_rank
+    n_pos = count - 1
+    n_neg = b - count
 
     rng = keyed_rng(seed, STREAM_MINE, epoch, batch_index)
     n_mined = int(np.floor(p * b))
@@ -119,10 +129,12 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
     mined = np.flatnonzero(mined_mask)
     if mined.size:
         dist = pairwise_cosine_distances(mu, mined)
+        same = labels[mined, None] == labels
         # np.argmax / np.argmin take the first (lowest-index) extremum,
         # which settles ties; the fills never beat a candidate
-        far = np.argmax(np.where(pos_mask[mined], dist, -np.inf), axis=1)
-        near = np.argmin(np.where(neg_mask[mined], dist, np.inf), axis=1)
+        near = np.argmin(np.where(same, np.inf, dist), axis=1)
+        same[np.arange(mined.size), mined] = False
+        far = np.argmax(np.where(same, dist, -np.inf), axis=1)
         pos_index[mined] = np.where(n_pos[mined] > 0, far, mined)
         neg_index[mined] = np.where(n_neg[mined] > 0, near, mined)
 
@@ -133,10 +145,16 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
     # boolean indexing reads (row, side) in C order: row by row, positive
     # before negative, the order of the draws; a zero count draws nothing
     picks[drawn] = rng.integers(counts[drawn])
-    for side, mask, index in ((0, pos_mask, pos_index),
-                              (1, neg_mask, neg_index)):
-        rows = rest[drawn[:, side]]
-        index[rows] = _kth_true(mask[rows], picks[drawn[:, side], side])
+    rows, k = rest[drawn[:, 0]], picks[drawn[:, 0], 0]
+    # the k-th class member other than the row itself
+    pos_index[rows] = order[start[rows] + k + (k >= rank[rows])]
+    rows, k = rest[drawn[:, 1]], picks[drawn[:, 1], 1]
+    # the k-th row outside the class is k plus the members t that come
+    # before it, those with order[start + t] - t <= k; offsetting each
+    # class's keys by start * B sorts all classes into one table
+    keys = order - sorted_rank + start[order] * b
+    before = np.searchsorted(keys, k + start[rows] * b, side="right")
+    neg_index[rows] = k + before - start[rows]
 
     return TripletPlan(pos_index=pos_index, neg_index=neg_index,
                        mined_mask=mined_mask, valid_mask=valid_mask)

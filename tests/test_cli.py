@@ -4,11 +4,16 @@ import base64
 import csv
 import json
 import os
+import platform
+import subprocess
+import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import uqtrain
 from uqtrain.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from uqtrain.data import LabeledDataset, load_dataset, save_dataset
 from uqtrain.heads import (build_vector_network, load_checkpoint,
@@ -189,6 +194,53 @@ def test_gradcheck_command_passes(capsys):
     code = main(["gradcheck", "--seeds", "2"])
     assert code == EXIT_OK
     assert "gradcheck passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_gradcheck_without_seeds_is_a_config_error(seeds, capsys):
+    code = main(["gradcheck", "--seeds", seeds])
+    assert code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "--seeds must be at least 1" in err
+    assert "gradcheck passed" not in out
+
+
+CHURN = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from uqtrain import cli
+    if sys.argv[1] == "pin":
+        assert cli._pin_allocator()
+
+    def churn():
+        # 6.4 MiB of 64 KiB blocks, each below glibc's default mmap size
+        blocks = [np.ones(8192) for _ in range(100)]
+        del blocks
+
+    churn()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        churn()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt is glibc's")
+def test_pinned_allocator_keeps_freed_heap_mapped():
+    """Freeing a heap's worth of mid-size blocks and allocating them
+    again: glibc's default thresholds hand the pages back and fault them
+    in again every round; pinned by the CLI, they stay mapped."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(uqtrain.__file__))
+    faults = {}
+    for mode in ("default", "pin"):
+        run = subprocess.run([sys.executable, "-c", CHURN, mode], env=env,
+                             capture_output=True, text=True, check=True)
+        faults[mode] = int(run.stdout)
+    assert faults["default"] > 5000
+    assert faults["pin"] < 100
 
 
 def test_ablate_writes_ladder_table(data_dir, tmp_path, capsys):

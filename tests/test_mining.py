@@ -7,7 +7,10 @@ import pytest
 
 import uqtrain.mining as mining
 import uqtrain.tensor as T
-from uqtrain.errors import ContractError, DegenerateBatch
+from uqtrain import training
+from uqtrain.config import TrainConfig
+from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
+from uqtrain.errors import ContractError, DegenerateBatch, ShapeError
 from uqtrain.heads import UncertainBatch
 from uqtrain.mining import (TripletPlan, mine_triplets,
                             pairwise_cosine_distances)
@@ -27,6 +30,15 @@ def oracle_distance(a, b):
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     return 1.0 - float(a @ b) / (na * nb + EPS_NORM)
+
+
+def elementwise_distances(mu, rows=None):
+    """The cosine distance formula before the matrix product: each dot
+    product reduced element by element over a (rows, B, d) product."""
+    rows = np.arange(len(mu)) if rows is None else rows
+    norms = np.sqrt(np.sum(mu ** 2, axis=1))
+    dots = np.sum(mu[rows][:, None, :] * mu[None, :, :], axis=2)
+    return 1.0 - dots / (np.outer(norms[rows], norms) + EPS_NORM)
 
 
 def oracle_plan(mu, labels):
@@ -187,6 +199,12 @@ def test_contract_errors():
     u2 = batch_of([[1.0, 0.0], [0.0, 1.0]], [0, 1])
     with pytest.raises(ContractError):
         mine_triplets(u2, 1.5, 0, 0, 0)
+    # the embedding's shape is checked before its rows are counted
+    for mean in (np.float64(1.0), np.zeros((2, 0))):
+        u3 = UncertainBatch(mean=T.constant(mean), sigma=T.constant(mean),
+                            labels=np.array([0, 1]))
+        with pytest.raises(ShapeError):
+            mine_triplets(u3, 1.0, 0, 0, 0)
 
 
 def reference_plan(u, p, seed, epoch, batch_index):
@@ -226,7 +244,8 @@ def reference_plan(u, p, seed, epoch, batch_index):
 
 def random_batch(rng):
     """Sizes 2..200, widths 1..70, 1..5 classes, with duplicated rows and
-    an all-zero row mixed in."""
+    an all-zero row mixed in; half the batches name their classes by
+    gapped values whose order differs from the class numbering."""
     b = int(rng.integers(2, 201))
     d = int(rng.integers(1, 71))
     k = int(rng.integers(1, 6))
@@ -237,6 +256,8 @@ def random_batch(rng):
             mu[rng.integers(b)] = mu[rng.integers(b)]
     if rng.random() < 0.3:
         mu[rng.integers(b)] = 0.0
+    if rng.random() < 0.5:
+        labels = np.array([1000, 3, 17, 250, 8])[labels]
     return mu, labels
 
 
@@ -263,29 +284,41 @@ def test_plans_match_per_row_reference_bitwise():
     assert singles > 0 and singletons > 0
 
 
-def test_subset_distances_equal_rows_of_full_matrix():
+def assert_duplicates_tie(dist, groups):
+    """Every query row holds bitwise-equal distances to the rows of each
+    group of identical embeddings."""
+    for group in groups:
+        assert len({dist[:, j].tobytes() for j in group}) == 1
+
+
+def test_subset_distances_match_elementwise_formula():
+    """Any query subset agrees with the elementwise formula to rounding,
+    and duplicated rows share their column bit for bit."""
     rng = np.random.default_rng(12)
     for _ in range(40):
         mu, _ = random_batch(rng)
-        full = pairwise_cosine_distances(mu)
         rows = np.flatnonzero(rng.random(len(mu)) < 0.3)
-        part = pairwise_cosine_distances(mu, rows)
-        assert part.shape == (len(rows), len(mu))
-        np.testing.assert_array_equal(part, full[rows])
+        _, inverse = np.unique(mu, axis=0, return_inverse=True)
+        groups = [np.flatnonzero(inverse.ravel() == g)
+                  for g in range(inverse.max() + 1)]
+        for query in (None, rows):
+            got = pairwise_cosine_distances(mu, query)
+            want = elementwise_distances(mu, query)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            assert_duplicates_tie(got, [g for g in groups if len(g) > 1])
 
 
 def test_distances_of_a_large_batch_stay_in_bounded_memory():
     """At B = 2000, d = 64 and a fifth of the rows mined, one (rows, B, d)
-    product would take 390 MiB; the chunked reduction stays under 32 MiB
-    and gives the unchunked formula's bytes, duplicated rows included."""
+    product would take 390 MiB; the matrix product stays under 32 MiB,
+    agrees with the elementwise formula to rounding, and gives
+    duplicated rows one column."""
     rng = np.random.default_rng(21)
     mu = rng.standard_normal((2000, 64))
     mu[[5, 900, 1999]] = mu[17]
     rows = np.sort(rng.choice(2000, size=400, replace=False))
     rows[:2] = (5, 17)
-    norms = np.sqrt(np.sum(mu ** 2, axis=1))
-    want = 1.0 - (np.sum(mu[rows][:, None, :] * mu[None, :, :], axis=2)
-                  / (np.outer(norms[rows], norms) + EPS_NORM))
     tracemalloc.start()
     try:
         got = pairwise_cosine_distances(mu, rows)
@@ -293,7 +326,69 @@ def test_distances_of_a_large_batch_stay_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2 ** 20
-    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, elementwise_distances(mu, rows),
+                               rtol=0, atol=1e-14)
+    assert_duplicates_tie(got, [[5, 17, 900, 1999]])
+
+
+def test_duplicates_tie_by_index_in_a_large_batch():
+    """Rows 0, 999 and 1999 hold one embedding, row 1999 with -0.0 where
+    the others hold +0.0.  Their columns are bitwise equal, so a mined
+    row that picks one of them picks row 0."""
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(64)
+    v[7] = 0.0
+    mu = rng.standard_normal((2000, 64))
+    labels = rng.integers(2, 4, size=2000)
+    # class 1 sits next to v, so v is each one's nearest negative; the
+    # rest of class 0 sits opposite v, so v is each one's farthest
+    # positive
+    near, far = np.arange(1, 400), np.arange(400, 800)
+    mu[near] = v + 1e-3 * rng.standard_normal((near.size, 64))
+    mu[far] = -v + 1e-3 * rng.standard_normal((far.size, 64))
+    labels[near], labels[far] = 1, 0
+    mu[[0, 999, 1999]] = v
+    mu[1999, 7] = -0.0
+    labels[[0, 999, 1999]] = 0
+    assert mu[0].tobytes() != mu[1999].tobytes()
+    dist = pairwise_cosine_distances(mu, np.arange(0, 2000, 7))
+    assert_duplicates_tie(dist, [[0, 999, 1999]])
+    plan = mine_triplets(batch_of(mu, labels), 0.2, 0, 0, 0)
+    mined_near = near[plan.mined_mask[near]]
+    mined_far = far[plan.mined_mask[far]]
+    assert mined_near.size and mined_far.size
+    assert (plan.neg_index[mined_near] == 0).all()
+    assert (plan.pos_index[mined_far] == 0).all()
+
+
+def test_training_plans_match_plans_from_elementwise_distances(
+        monkeypatch):
+    """Shadow every batch of a 3-epoch full-method fit on benchmark-shaped
+    data (4 classes, 10 features, 2000 train rows, 30% flipped labels,
+    batch 128): the plan mined from the matrix-product distances equals
+    the plan mined from the elementwise formula."""
+    pool = make_blobs(4, 10, 3000, 1.0, seed=5)
+    train, test = split_dataset(pool, 2000)
+    train = corrupt_labels(train, NoiseSpec(ratio=0.3, seed=5))
+    cfg = TrainConfig(seed=5, epochs=3, batch_size=128)
+    real = training.mine_triplets
+    mined = []
+
+    def shadow(u, *args):
+        got = real(u, *args)
+        with monkeypatch.context() as m:
+            m.setattr(mining, "pairwise_cosine_distances",
+                      elementwise_distances)
+            want = real(u, *args)
+        for name in ("pos_index", "neg_index", "mined_mask", "valid_mask"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        mined.append(int(got.mined_mask.sum()))
+        return got
+
+    monkeypatch.setattr(training, "mine_triplets", shadow)
+    training.run_experiment(cfg, train, test)
+    assert len(mined) == 3 * 16 and sum(mined) > 0
 
 
 def test_distances_go_through_the_module_for_mined_rows_only(monkeypatch):
