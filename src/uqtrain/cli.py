@@ -118,6 +118,10 @@ def _load_pair(cfg: TrainConfig):
 
 
 def cmd_synth(args) -> int:
+    for flag, size in (("--train-size", args.train_size),
+                       ("--test-size", args.test_size)):
+        if size < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {size}")
     total = args.train_size + args.test_size
     pool = make_blobs(args.classes, args.features, total, args.spread,
                       args.seed)

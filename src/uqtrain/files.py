@@ -11,11 +11,16 @@ def atomic_open(path: str, encoding: str, newline: str | None = None):
 
     The temp file lives in path's directory, so os.replace is atomic.
     If the body raises, the temp file is removed and path keeps its old
-    bytes (or stays absent).
+    bytes (or stays absent).  A temp file that cannot be created raises
+    an OSError naming path, the file the caller asked for.
     """
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, "w", encoding=encoding, newline=newline) as fh:
+        fh = open(tmp, "w", encoding=encoding, newline=newline)
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -11,6 +11,7 @@ node (tensor.mix_partners, tensor.class_cross_entropy and
 tensor.triplet_hinge) with a closed-form backward.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +22,43 @@ from .heads import UncertainBatch
 from .mining import TripletPlan
 
 
-@dataclass
 class MixedFeatures:
     """Blended embeddings and the per-branch weights that built them.
 
     Only features carries gradients.  The weights are constants, reported
     for inspection: (B, d), summing to one elementwise across the branches
     that exist; rows that could not be mixed carry f = mean, w = 1 and
-    zero partner weights.
+    zero partner weights.  Training never reads them, so they are built
+    the first time w_self, w_pos or w_neg is read, by calling weights:
+    it returns a dict of the branches that exist ("self", "pos", "neg")
+    to their arrays, and a missing branch reads as zeros.
     """
 
-    features: T.DiffArray   # (B, d)
-    w_self: T.DiffArray     # (B, d), constant
-    w_pos: T.DiffArray      # (B, d), constant
-    w_neg: T.DiffArray      # (B, d), constant
+    def __init__(self, features: T.DiffArray,
+                 weights: Callable[[], dict]):
+        self.features = features    # (B, d)
+        self._weights = weights
+        self._built = None
+
+    def _branch(self, name: str) -> T.DiffArray:
+        if self._built is None:
+            built = self._weights()
+            zeros = np.zeros(self.features.shape)
+            self._built = {n: T.constant(built.get(n, zeros))
+                           for n in ("self", "pos", "neg")}
+        return self._built[name]
+
+    @property
+    def w_self(self) -> T.DiffArray:   # (B, d), constant
+        return self._branch("self")
+
+    @property
+    def w_pos(self) -> T.DiffArray:    # (B, d), constant
+        return self._branch("pos")
+
+    @property
+    def w_neg(self) -> T.DiffArray:    # (B, d), constant
+        return self._branch("neg")
 
 
 def _partners(plan: TripletPlan, include_pos: bool,
@@ -54,23 +78,17 @@ def mixup(u: UncertainBatch, plan: TripletPlan | None,
     participating sigmas.  Rows where plan.valid_mask is False (or when
     both partner branches are switched off) degrade to the identity
     blend.  The blend is one tensor.mix_partners node; the identity path
-    records nothing.
+    records nothing.  The reported weights are built when first read.
     """
-    b, d = u.mean.shape
-    zeros = T.constant(np.zeros((b, d)))
-
     if plan is None or not (include_pos or include_neg):
-        return MixedFeatures(features=u.mean,
-                             w_self=T.constant(np.ones((b, d))),
-                             w_pos=zeros, w_neg=zeros)
+        return MixedFeatures(u.mean,
+                             lambda: {"self": np.ones(u.mean.shape)})
 
     partners = _partners(plan, include_pos, include_neg)
-    features, (w_self, *weights) = T.mix_partners(
+    features, weights = T.mix_partners(
         u.mean, u.sigma, [index for _, index in partners], plan.valid_mask)
-    reported = {name: T.constant(w) for (name, _), w in zip(partners, weights)}
-    return MixedFeatures(features=features, w_self=T.constant(w_self),
-                         w_pos=reported.get("pos", zeros),
-                         w_neg=reported.get("neg", zeros))
+    names = ["self"] + [name for name, _ in partners]
+    return MixedFeatures(features, lambda: dict(zip(names, weights())))
 
 
 def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,

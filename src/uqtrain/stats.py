@@ -48,8 +48,10 @@ class LayerStats:
 
 def _std(x, mean, axis):
     """Population std over axis about its already computed mean, smoothed
-    as sqrt(var + EPS_VAR)."""
-    return np.sqrt(np.mean((x - mean) ** 2, axis=axis) + EPS_VAR)
+    as sqrt(var + EPS_VAR).  Means here are sum / n, which is what
+    np.mean computes, without its Python wrapper."""
+    return np.sqrt(((x - mean) ** 2).sum(axis=axis) / x.shape[axis]
+                   + EPS_VAR)
 
 
 def layer_stats(feat: T.DiffArray) -> LayerStats:
@@ -68,7 +70,7 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
     u = T.plane_sum(planes) / (h * w)
     centered = planes - u
     s = np.sqrt(T.plane_sum(centered * centered) / (h * w) + EPS_VAR)
-    u_bar, s_bar = u.mean(axis=0), s.mean(axis=0)
+    u_bar, s_bar = u.sum(axis=0) / b, s.sum(axis=0) / b
     return LayerStats(instance_mean=T.constant(u),
                       instance_std=T.constant(s),
                       mean_of_means=T.constant(u_bar),

@@ -17,10 +17,18 @@ scalar_mul, on equal shapes only, combine the loss terms.
 Design rules the ops follow:
 
 * all buffers are float64 and ops return fresh arrays (no views escape);
+* a backward returns, for each input, None, the g it was handed (add
+  does, twice) or an array it allocated in that call, never one it
+  keeps.  backward() adopts such a fresh array as the input's gradient
+  without copying it, and copies g, views, non-contiguous arrays, numpy
+  scalars and an array the node already gave to another input, so no
+  later += writes through to another gradient;
 * degenerate numerics raise (DegenerateDenominator) rather than letting
   NaN or inf propagate silently;
 * forward values match the textbook definitions.
 """
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -118,6 +126,15 @@ def _record(out: DiffArray, inputs, backward) -> DiffArray:
     return out
 
 
+def _fresh(contrib, g, adopted) -> bool:
+    """Whether a first contribution may become an input's gradient as it
+    is: an array the backward allocated (not g, no view, C-contiguous)
+    that this node has not already given to another input."""
+    return (isinstance(contrib, np.ndarray) and contrib is not g
+            and contrib.base is None and contrib.flags.c_contiguous
+            and not any(contrib is a for a in adopted))
+
+
 def backward(loss: DiffArray, tape: Tape) -> None:
     """Accumulate d loss / d leaf into .grad for everything on the tape.
 
@@ -143,15 +160,17 @@ def backward(loss: DiffArray, tape: Tape) -> None:
         if g is None:
             continue
         contribs = node.backward(g)
+        adopted = []
         for inp, contrib in zip(node.inputs, contribs):
             if contrib is None or not inp.requires_grad:
                 continue
-            if inp.grad is None:
-                # a copy, never the contribution itself: a backward may
-                # return g, and a later += would write through to it
-                inp.grad = np.array(contrib, order="C")
-            else:
+            if inp.grad is not None:
                 inp.grad += contrib
+            elif _fresh(contrib, g, adopted):
+                inp.grad = contrib
+                adopted.append(contrib)
+            else:
+                inp.grad = np.array(contrib, order="C")
 
     for arr in seen.values():
         if arr.requires_grad and arr.grad is None:
@@ -185,6 +204,10 @@ def scalar_mul(c: float, x: DiffArray) -> DiffArray:
 
 def relu(x: DiffArray) -> DiffArray:
     out = DiffArray(np.maximum(x.values, 0.0))
+    if not (x.requires_grad and _active_tape() is not None):
+        # nothing will run a backward: no mask, no node
+        out.requires_grad = x.requires_grad
+        return out
     mask = x.values > 0.0  # subgradient 0 at the kink
 
     def bw(g):
@@ -209,8 +232,9 @@ def softplus(x: DiffArray, floor: float = 0.0) -> DiffArray:
         out += floor
 
     def bw(g):
-        # the logistic sigmoid, stable on both sides of 0
-        sig = np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        # the logistic sigmoid, stable on both sides of 0: each branch
+        # divides its numerator by the same 1 + e
+        sig = np.where(v >= 0.0, 1.0, e) / (1.0 + e)
         return (g * sig,)
 
     return _record(DiffArray(out), (x,), bw)
@@ -222,10 +246,16 @@ def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
             or b.shape != (w.shape[1],):
         raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape} "
                          "does not fit")
-    out = DiffArray(x.values @ w.values + b.values)
+    y = x.values @ w.values
+    y += b.values
+    out = DiffArray(y)
+    # a constant input, such as the data a first block reads, needs no
+    # gradient: skip its product
+    x_grad = x.requires_grad
 
     def bw(g):
-        return g @ w.values.T, x.values.T @ g, g.sum(axis=0)
+        return (g @ w.values.T if x_grad else None, x.values.T @ g,
+                g.sum(axis=0))
 
     return _record(out, (x, w, b), bw)
 
@@ -292,9 +322,9 @@ def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
         g_sum = plane_sum(g)
         gn_sum = plane_sum(g * centered / denom)
         # d loss / d u and d loss / d s, the batch stds sm, ss included
-        gu = (g_sum * keep + (u - u.mean(axis=0))
+        gu = (g_sum * keep + (u - u.sum(axis=0) / b)
               * (eps_m * g_sum).sum(axis=0) / (b * sm))
-        gs = (gn_sum * keep + (s - s.mean(axis=0))
+        gs = (gn_sum * keep + (s - s.sum(axis=0) / b)
               * (eps_s * gn_sum).sum(axis=0) / (b * ss))
         gx = g * a + gu / n + centered * (gs / (n * s))
         return (gx.transpose(1, 2, 0).reshape(x.shape),)
@@ -346,18 +376,23 @@ def _row_mask(keep, b: int, opname: str) -> np.ndarray:
     return k
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Add rows[i] into row index[i] of a zero array shaped like rows: one
-    bincount over flat positions row * d + col, which sums in the same
+def _flat_rows(index: np.ndarray, d: int) -> np.ndarray:
+    """Flat positions row * d + col of rows index[i] of a (B, d) array,
+    in row-major order: the bins _scatter_rows adds into."""
+    return (index[:, None] * d + np.arange(d)).ravel()
+
+
+def _scatter_rows(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Add rows[i] into row index[i] of a zero array shaped like rows,
+    for flat = _flat_rows(index, d): one bincount, which sums in the same
     order as np.add.at and is several times faster."""
     b, d = rows.shape
-    flat = (index[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=rows.ravel(),
                        minlength=b * d).reshape(b, d)
 
 
 def mix_partners(mean: DiffArray, sigma: DiffArray, partner_indices,
-                 keep) -> tuple[DiffArray, list[np.ndarray]]:
+                 keep) -> tuple[DiffArray, Callable[[], list[np.ndarray]]]:
     """Blend row i of a (B, d) mean with rows p_k[i], for a list of (B,)
     partner indices p_k, weighted by the (B, d) sigmas s:
 
@@ -365,20 +400,22 @@ def mix_partners(mean: DiffArray, sigma: DiffArray, partner_indices,
         out = keep * (w_self * mean + w_1 * mean[p_1] + ...)
               + (1 - keep) * mean   for a (B,) 0/1 row mask keep.
 
-    Also returns the constant weights as they act on out, [keep * w_self
-    + 1 - keep, keep * w_1, ...].  Raises DegenerateDenominator on a
-    denominator within EPS_DIV of zero.
+    Also returns a function that builds the constant weights as they act
+    on out, [keep * w_self + 1 - keep, keep * w_1, ...], when called: only
+    a report reads them, so a step that does not pays nothing for them.
+    Raises DegenerateDenominator on a denominator within EPS_DIV of zero.
     """
     b, d = mean.shape
     idx = [_partner_rows(p, b, "mix_partners") for p in partner_indices]
     m, s = mean.values, sigma.values
     m_p = [m[p] for p in idx]
-    denom = sum((s[p] for p in idx), s)   # left to right, s first
+    s_p = [s[p] for p in idx]
+    denom = sum(s_p, s)   # left to right, s first
     if np.any(np.abs(denom) < EPS_DIV):
         raise DegenerateDenominator(
             f"mix_partners: denominator within {EPS_DIV} of zero")
     w_self = s / denom
-    w_p = [s[p] / denom for p in idx]
+    w_p = [sp / denom for sp in s_p]
     mixed = sum((w * rows for w, rows in zip(w_p, m_p)), w_self * m)
     k = _row_mask(keep, b, "mix_partners")[:, None]
     drop = 1.0 - k
@@ -388,11 +425,14 @@ def mix_partners(mean: DiffArray, sigma: DiffArray, partner_indices,
         a = k * g
         g_mean, g_sigma = drop * g + w_self * a, a * (m - mixed) / denom
         for p, w, rows in zip(idx, w_p, m_p):
-            g_mean += _scatter_rows(p, a * w)
-            g_sigma += _scatter_rows(p, a * (rows - mixed) / denom)
+            flat = _flat_rows(p, d)
+            g_mean += _scatter_rows(flat, a * w)
+            g_sigma += _scatter_rows(flat, a * (rows - mixed) / denom)
         return g_mean, g_sigma
 
-    weights = [k * w_self + drop] + [k * w for w in w_p]
+    def weights():
+        return [k * w_self + drop] + [k * w for w in w_p]
+
     return _record(out, (mean, sigma), bw), weights
 
 
@@ -411,8 +451,10 @@ def triplet_hinge(mean: DiffArray, pos, neg, keep,
 
     def bw(g):
         c = (2.0 * g * k * (gap > 0.0))[:, None]
-        return (c * (d_pos - d_neg) - _scatter_rows(pos, c * d_pos)
-                + _scatter_rows(neg, c * d_neg),)
+        d = m.shape[1]
+        return (c * (d_pos - d_neg) - _scatter_rows(_flat_rows(pos, d),
+                                                    c * d_pos)
+                + _scatter_rows(_flat_rows(neg, d), c * d_neg),)
 
     return _record(out, (mean,), bw)
 

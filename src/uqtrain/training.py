@@ -75,8 +75,10 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             # a non-finite gradient makes v non-finite too, and so does an
-            # overflowing g * g, which would freeze the parameter for good
-            if not np.isfinite(v).all():
+            # overflowing g * g, which would freeze the parameter for good;
+            # v >= 0, so its max is finite exactly when every entry is (a
+            # NaN propagates through the max)
+            if not np.isfinite(v.max()):
                 raise NumericalDivergence(
                     f"gradient of {name} is not finite or overflows at "
                     f"optimizer step {self.t}")

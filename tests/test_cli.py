@@ -323,6 +323,33 @@ def test_synth_rejects_bad_generator_setting(tmp_path, capsys, flag, value):
     assert not os.path.exists(train)
 
 
+@pytest.mark.parametrize("flag, value", [("--train-size", "0"),
+                                         ("--train-size", "-5"),
+                                         ("--test-size", "0")])
+def test_synth_size_below_one_names_its_flag(tmp_path, capsys, flag, value):
+    train = os.path.join(tmp_path, "t.csv")
+    code = main(["synth", "--train-out", train,
+                 "--test-out", os.path.join(tmp_path, "v.csv"),
+                 "--train-size", "90", "--test-size", "30", flag, value])
+    assert code == EXIT_CONFIG
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not os.path.exists(train)
+
+
+def test_failed_artifact_write_names_the_target(data_dir, tmp_path, capsys):
+    """An --out whose directory is missing exits 4 naming the file asked
+    for, not the temp file beside it, and leaves no temp file."""
+    ck = os.path.join(tmp_path, "ck.json")
+    save_checkpoint(build_vector_network(6, 3, 8, [(4, 2, 2)], seed=0), ck)
+    out = os.path.join(tmp_path, "missing_dir", "x.csv")
+    code = main(["eval", "--checkpoint", ck, "--data", data_dir["test"],
+                 "--out", out])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{out}'" in err and ".tmp" not in err
+    assert os.listdir(tmp_path) == ["ck.json"]
+
+
 def test_missing_data_file_exits_4(tmp_path, capsys):
     code = main(["train", "--out", os.path.join(tmp_path, "x"),
                  "--data-train", "/nonexistent/a.csv",

@@ -115,6 +115,43 @@ def test_no_plan_is_identity_blend():
     np.testing.assert_array_equal(mixed.features.values, mu)
 
 
+def eager_weights(sigma, plan, include_pos, include_neg):
+    """(w_self, w_pos, w_neg) as mixup used to build them on every call:
+    k * w_self + 1 - k and k * w_p for the row mask k, zeros for a branch
+    that is off, ones and zeros without a plan."""
+    zeros = np.zeros(sigma.shape)
+    if plan is None or not (include_pos or include_neg):
+        return np.ones(sigma.shape), zeros, zeros
+    on = [(name, p) for name, p, use in (("pos", plan.pos_index, include_pos),
+                                         ("neg", plan.neg_index, include_neg))
+          if use]
+    denom = sum((sigma[p] for _, p in on), sigma)
+    k = np.asarray(plan.valid_mask, dtype=np.float64)[:, None]
+    w = {name: k * (sigma[p] / denom) for name, p in on}
+    return (k * (sigma / denom) + (1.0 - k), w.get("pos", zeros),
+            w.get("neg", zeros))
+
+
+@pytest.mark.parametrize("include_pos, include_neg, planned",
+                         [(True, True, True), (True, False, True),
+                          (False, True, True), (False, False, True),
+                          (True, True, False)])
+def test_weights_built_on_read_equal_the_eager_formula(include_pos,
+                                                       include_neg, planned):
+    rng = np.random.default_rng(8)
+    u, plan = random_batch(rng, b=12, d=4)
+    plan.valid_mask = plan.valid_mask & (np.arange(12) % 3 != 0)
+    plan = plan if planned else None
+    mixed = mixup(u, plan, include_pos=include_pos, include_neg=include_neg)
+    want = eager_weights(u.sigma.values, plan, include_pos, include_neg)
+    got = (mixed.w_self, mixed.w_pos, mixed.w_neg)
+    for name, w, g in zip(("w_self", "w_pos", "w_neg"), want, got):
+        assert not g.requires_grad, name
+        assert g.values.tobytes() == w.tobytes(), name
+    # a second read returns the same constants
+    assert mixed.w_self is got[0] and mixed.w_neg is got[2]
+
+
 def test_uniform_logits_ce_is_three_log_c():
     k = 7
     b = 5

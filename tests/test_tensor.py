@@ -6,7 +6,7 @@ import pytest
 import uqtrain.tensor as T
 from uqtrain.compensation import compensate, draw_perturbation
 from uqtrain.errors import ContractError, DegenerateDenominator, ShapeError
-from uqtrain.gradcheck import weighted_sum
+from uqtrain.gradcheck import _op_cases, weighted_sum
 from uqtrain.heads import SIGMA_FLOOR
 from uqtrain.stats import layer_stats
 
@@ -243,6 +243,137 @@ def test_backward_copies_first_gradients_and_never_aliases():
                 assert o.grad.tobytes() == want[other].tobytes(), \
                     f"writing {name}.grad changed {other}.grad"
         arr.grad[...] = want[name]
+
+
+def test_add_of_one_input_twice_doubles_g_and_leaves_g_alone():
+    """add hands g itself to both inputs: x gets g + g, and the output's
+    own gradient is still g."""
+    rng = np.random.default_rng(5)
+    x = T.parameter(rng.standard_normal((3, 4)))
+    w = rng.standard_normal((3, 4))
+    with T.Tape() as tape:
+        s = T.add(x, x)
+        loss = weighted_sum(s, w)
+    T.backward(loss, tape)
+    assert s.grad.tobytes() == w.tobytes()
+    assert x.grad.tobytes() == (w + w).tobytes()
+
+
+def test_backward_adopts_fresh_contributions_and_copies_shared_ones():
+    """A fresh array a backward returns becomes the input's gradient as
+    it is; one array handed to two inputs is stored once and copied
+    once, so the two gradients do not share memory."""
+    rng = np.random.default_rng(6)
+    a, b = (T.parameter(rng.standard_normal((2, 3))) for _ in range(2))
+    handed = {}
+
+    def twin_bw(g):
+        handed["c"] = g * 2.0
+        return handed["c"], handed["c"]
+
+    def single_bw(g):
+        handed["d"] = g * 3.0
+        return (handed["d"],)
+
+    with T.Tape() as tape:
+        twin = T._record(T.DiffArray(a.values + b.values), (a, b), twin_bw)
+        out = T._record(T.DiffArray(twin.values * 3.0), (twin,), single_bw)
+        loss = weighted_sum(out, np.ones((2, 3)))
+    T.backward(loss, tape)
+    assert twin.grad is handed["d"]
+    assert a.grad is handed["c"] and b.grad is not handed["c"]
+    assert not np.shares_memory(a.grad, b.grad)
+    assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def kept_arrays(backward) -> list:
+    """The arrays a backward closure holds, alone or in a list."""
+    kept = []
+    for cell in backward.__closure__ or ():
+        value = cell.cell_contents
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(v, np.ndarray):
+                kept.append(v)
+    return kept
+
+
+def test_no_backward_contribution_aliases_its_node(monkeypatch):
+    """Every backward of every gradcheck op case returns fresh arrays: no
+    contribution shares memory with the op's inputs, its output, the g
+    it was handed or an array its closure keeps, except that add returns
+    g itself."""
+    checked = set()
+    record = T._record
+
+    def spy(out, inputs, backward):
+        op = backward.__qualname__.split(".", 1)[0]
+
+        def checked_backward(g):
+            contribs = backward(g)
+            for c in contribs:
+                if c is None:
+                    continue
+                if op == "add":
+                    assert c is g
+                    continue
+                for arr in (g, out.values, *(i.values for i in inputs),
+                            *kept_arrays(backward)):
+                    assert not np.shares_memory(c, arr), op
+            checked.add(op)
+            return contribs
+        return record(out, inputs, checked_backward)
+
+    monkeypatch.setattr(T, "_record", spy)
+    for _, f, arrays in _op_cases(0):
+        with T.Tape() as tape:
+            loss = f(arrays)
+        T.backward(loss, tape)
+    assert {"add", "affine", "relu", "softplus", "perturb_stats",
+            "mix_partners", "triplet_hinge",
+            "class_cross_entropy"} <= checked
+
+
+def test_affine_of_a_constant_input_returns_no_input_gradient():
+    rng = np.random.default_rng(7)
+    x, w = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+    bias, g = rng.standard_normal(3), rng.standard_normal((5, 3))
+    grads = {}
+    for x_in in (T.constant(x), T.parameter(x)):
+        wp, bp = T.parameter(w), T.parameter(bias)
+        with T.Tape() as tape:
+            out = T.affine(x_in, wp, bp)
+        contribs = tape.nodes[0].backward(g)
+        assert (contribs[0] is None) == (not x_in.requires_grad)
+        grads[x_in.requires_grad] = [c.tobytes() for c in contribs[1:]]
+        with T.Tape() as tape:
+            loss = weighted_sum(T.affine(x_in, wp, bp), g)
+        T.backward(loss, tape)
+        assert (x_in.grad is None) == (not x_in.requires_grad)
+    assert grads[False] == grads[True]
+
+
+def test_relu_off_the_tape_records_nothing_and_keeps_requires_grad(
+        monkeypatch):
+    x = T.parameter(np.array([[-1.5, 0.0, 2.0], [3.0, -0.0, -4.0]]))
+    calls = []
+    record = T._record
+
+    def spy(out, inputs, backward):
+        calls.append(backward)
+        return record(out, inputs, backward)
+
+    monkeypatch.setattr(T, "_record", spy)
+    off = T.relu(x)
+    const = T.relu(T.constant(x.values))
+    assert calls == []
+    with T.Tape() as tape:
+        on = T.relu(x)
+        with_const = T.relu(T.constant(x.values))
+    assert len(calls) == 1 and len(tape.nodes) == 1
+    assert off.values.tobytes() == on.values.tobytes()
+    assert off.values.tobytes() == const.values.tobytes()
+    assert off.requires_grad and on.requires_grad
+    assert not const.requires_grad and not with_const.requires_grad
 
 
 def test_mix_partners_scatter_handles_duplicate_partners():

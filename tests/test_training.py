@@ -15,7 +15,12 @@ from uqtrain import config, gradcheck, training
 from uqtrain.compensation import forward_with_compensation
 from uqtrain.config import TrainConfig
 from uqtrain.data import LabeledDataset, make_blobs, split_dataset
-from uqtrain.errors import ContractError, DataFormatError, DegenerateBatch
+from uqtrain.errors import (
+    ContractError,
+    DataFormatError,
+    DegenerateBatch,
+    NumericalDivergence,
+)
 from uqtrain.heads import (
     build_vector_network,
     class_logits,
@@ -92,6 +97,20 @@ def test_adam_lr_multiplier_scales_named_param_steps():
     slow_step = 1.0 - a.values[0, 0]
     fast_step = 1.0 - b.values[0, 0]
     assert fast_step == pytest.approx(10.0 * slow_step, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_adam_rejects_a_non_finite_or_overflowing_gradient(bad):
+    """A NaN or infinite entry anywhere, or one whose square overflows,
+    stops the step before any parameter moves."""
+    p = T.parameter(np.ones((2, 3)))
+    p.grad = np.zeros((2, 3))
+    p.grad[0, 1] = bad
+    opt = Adam([("p", p)])
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalDivergence, match="gradient of p"):
+        opt.step(lr=0.1)
+    np.testing.assert_array_equal(p.values, np.ones((2, 3)))
 
 
 def test_balanced_batches_interleave_classes():
@@ -294,6 +313,76 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     assert seen["dead"] == []
     partners = cfg.use_positive_branch or cfg.use_negative_branch
     assert (seen["u"].sigma is not None) == partners
+
+
+def test_full_step_gradients_own_their_memory(monkeypatch):
+    """backward stores fresh contributions as they are: after a
+    full-method step no two tape arrays' gradients share memory, none
+    shares memory with any array's values, and every parameter gradient
+    is a C-contiguous float64 array of its parameter's shape."""
+    ds = make_blobs(4, 10, 128, 1.0, seed=0)
+    cfg = TrainConfig()
+    net = build_vector_network(10, 4, cfg.embed_dim,
+                               [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
+    seen = {}
+    real_backward = T.backward
+
+    def spy_backward(loss, tape):
+        seen["tape"] = tape
+        real_backward(loss, tape)
+
+    monkeypatch.setattr(T, "backward", spy_backward)
+    train_step(net, ds.features, ds.labels, cfg, Adam(net.parameters()),
+               0, 0)
+    arrays = list({id(a): a for node in seen["tape"].nodes
+                   for a in (node.out, *node.inputs)}.values())
+    grads = [a.grad for a in arrays if a.grad is not None]
+    assert len(grads) == len(arrays) - 1   # all but the data
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+        for a in arrays:
+            assert not np.shares_memory(g, a.values)
+    for name, p in net.parameters():
+        assert p.grad.dtype == np.float64, name
+        assert p.grad.flags.c_contiguous, name
+        assert p.grad.shape == p.values.shape, name
+
+
+@pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
+                         ids=[tag for tag, _ in ABLATION_LADDER])
+def test_train_step_builds_no_reported_mixup_weights(monkeypatch, tag,
+                                                     overrides):
+    """The blend weights MixedFeatures reports are built only when read,
+    and a train step reads none of them."""
+    ds = make_blobs(4, 10, 128, 1.0, seed=0)
+    cfg = replace(TrainConfig(), **overrides)
+    net = build_vector_network(10, 4, cfg.embed_dim,
+                               [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
+    built, seen = [], {}
+    real_mixup = training.mixup
+
+    def spy_mixup(*args, **kwargs):
+        mixed = real_mixup(*args, **kwargs)
+        seen["built_by_mixup"] = mixed._built is not None
+        weights = mixed._weights
+
+        def counted():
+            built.append(tag)
+            return weights()
+
+        mixed._weights = counted
+        seen["mixed"] = mixed
+        return mixed
+
+    monkeypatch.setattr(training, "mixup", spy_mixup)
+    train_step(net, ds.features, ds.labels, cfg, Adam(net.parameters()),
+               0, 0)
+    assert built == [] and not seen["built_by_mixup"]
+    mixed = seen["mixed"]
+    total = mixed.w_self.values + mixed.w_pos.values + mixed.w_neg.values
+    assert built == [tag]
+    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tag, overrides", ABLATION_LADDER,
