@@ -326,8 +326,12 @@ def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
               * (eps_m * g_sum).sum(axis=0) / (b * sm))
         gs = (gn_sum * keep + (s - s.sum(axis=0) / b)
               * (eps_s * gn_sum).sum(axis=0) / (b * ss))
-        gx = g * a + gu / n + centered * (gs / (n * s))
-        return (gx.transpose(1, 2, 0).reshape(x.shape),)
+        # the last add writes through planes of a fresh array in x's
+        # layout, so the sweep can keep it as x's gradient without a copy
+        gx = np.empty(x.shape)
+        np.add(g * a + gu / n, centered * (gs / (n * s)),
+               out=gx.reshape(b, c, n).transpose(2, 0, 1))
+        return (gx,)
 
     return _record(out, (x,), bw)
 

@@ -21,6 +21,7 @@ from .errors import (
     DataFormatError,
     DegenerateBatch,
     NumericalDivergence,
+    ShapeError,
 )
 from .files import write_csv
 from .heads import (
@@ -48,7 +49,22 @@ class Adam:
     The step is the standard bias-corrected update; decay then shrinks
     the parameters directly (params *= 1 - lr * weight_decay) instead of
     entering the gradient.  Biases and other 1-d parameters are never
-    decayed.
+    decayed.  A parameter whose grad is None steps with a zero gradient.
+
+    The moments m and v are two flat float64 vectors over all parameters
+    in named_params order; slices[i] is parameter i's part of them.  A
+    step gathers the gradients into one flat buffer, runs the moment
+    updates, bias correction and step size as whole-vector passes, then
+    applies each parameter's part of the step in place.  Every entry
+    takes the same operations in the same order as a per-parameter loop
+    would, so the bits are those of that loop.  The parameters' arrays
+    stay their own: the optimizer writes into p.values, never rebinds it.
+
+    Nothing moves unless the whole step can be taken: a gradient whose
+    shape differs from its parameter's raises ShapeError, and a
+    non-finite or overflowing gradient raises NumericalDivergence naming
+    the first such parameter in order, both before any parameter
+    changes.
     """
 
     beta1 = 0.9
@@ -57,37 +73,81 @@ class Adam:
 
     def __init__(self, named_params, lr_multipliers: dict | None = None):
         self.named_params = list(named_params)
-        self.m = [np.zeros_like(p.values) for _, p in self.named_params]
-        self.v = [np.zeros_like(p.values) for _, p in self.named_params]
+        self.slices = []
+        end = 0
+        for _, p in self.named_params:
+            self.slices.append(slice(end, end + p.values.size))
+            end += p.values.size
+        self.m = np.zeros(end)
+        self.v = np.zeros(end)
         self.t = 0
-        self.lr_multipliers = dict(lr_multipliers or {})
+        self._mults = [(lr_multipliers or {}).get(name, 1.0)
+                       for name, _ in self.named_params]
+        # consecutive parameters that share a multiplier form one run,
+        # whose step is scaled by one scalar: (flat slice, multiplier)
+        self._runs = []
+        for sl, mult in zip(self.slices, self._mults):
+            if self._runs and self._runs[-1][1] == mult:
+                sl = slice(self._runs.pop()[0].start, sl.stop)
+            self._runs.append((sl, mult))
+
+    def _gather(self) -> np.ndarray:
+        """The gradients as one flat vector, zeros for a None grad; raises
+        ShapeError on a gradient whose shape is not its parameter's."""
+        parts = []
+        for name, p in self.named_params:
+            g = p.grad
+            if g is None:
+                g = np.zeros(p.values.shape)
+            elif g.shape != p.values.shape:
+                raise ShapeError(
+                    f"gradient of {name} has shape {g.shape}, the "
+                    f"parameter has shape {p.values.shape}")
+            parts.append(g.ravel())
+        flat = np.empty(self.v.size)
+        return np.concatenate(parts, out=flat) if parts else flat
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
+        g = self._gather()
         self.t += 1
+        if not g.size:
+            return
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for (name, p), m, v in zip(self.named_params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.values)
-            decay = weight_decay if p.values.ndim > 1 else 0.0
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            # a non-finite gradient makes v non-finite too, and so does an
-            # overflowing g * g, which would freeze the parameter for good;
-            # v >= 0, so its max is finite exactly when every entry is (a
-            # NaN propagates through the max)
-            if not np.isfinite(v.max()):
-                raise NumericalDivergence(
-                    f"gradient of {name} is not finite or overflows at "
-                    f"optimizer step {self.t}")
-            mhat = m / bias1
-            vhat = v / bias2
-            step_lr = lr * self.lr_multipliers.get(name, 1.0)
-            p.values -= step_lr * mhat / (np.sqrt(vhat) + self.eps)
-            if decay:
-                p.values *= 1.0 - step_lr * decay
+        m, v = self.m, self.v
+        m *= b1
+        work = np.multiply(g, 1.0 - b1)
+        m += work
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=work)
+        work *= g
+        v += work
+        # a non-finite gradient makes v non-finite too, and so does an
+        # overflowing g * g, which would freeze the parameter for good;
+        # v >= 0, so its max is finite exactly when every entry is (a
+        # NaN propagates through the max)
+        if not np.isfinite(v.max()):
+            name = next(name for (name, _), sl
+                        in zip(self.named_params, self.slices)
+                        if not np.isfinite(v[sl]).all())
+            raise NumericalDivergence(
+                f"gradient of {name} is not finite or overflows at "
+                f"optimizer step {self.t}")
+        # step = ((lr * multiplier) * (m / bias1)) / (sqrt(v / bias2) + eps)
+        step = np.divide(m, bias1, out=work)
+        denom = np.divide(v, bias2, out=g)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        for sl, mult in self._runs:
+            run = step[sl]
+            run *= lr * mult
+        step /= denom
+        for (_, p), sl, mult in zip(self.named_params, self.slices,
+                                    self._mults):
+            p.values -= step[sl].reshape(p.values.shape)
+            if weight_decay and p.values.ndim > 1:
+                p.values *= 1.0 - lr * mult * weight_decay
 
 
 # ---------------------------------------------------------------------------

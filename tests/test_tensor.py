@@ -301,7 +301,8 @@ def test_no_backward_contribution_aliases_its_node(monkeypatch):
     """Every backward of every gradcheck op case returns fresh arrays: no
     contribution shares memory with the op's inputs, its output, the g
     it was handed or an array its closure keeps, except that add returns
-    g itself."""
+    g itself.  perturb_stats' input gradient is also no view and
+    C-contiguous, so the sweep keeps it without a copy."""
     checked = set()
     record = T._record
 
@@ -319,6 +320,8 @@ def test_no_backward_contribution_aliases_its_node(monkeypatch):
                 for arr in (g, out.values, *(i.values for i in inputs),
                             *kept_arrays(backward)):
                     assert not np.shares_memory(c, arr), op
+                if op == "perturb_stats":
+                    assert c.base is None and c.flags.c_contiguous
             checked.add(op)
             return contribs
         return record(out, inputs, checked_backward)

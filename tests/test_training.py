@@ -20,6 +20,7 @@ from uqtrain.errors import (
     DataFormatError,
     DegenerateBatch,
     NumericalDivergence,
+    ShapeError,
 )
 from uqtrain.heads import (
     build_vector_network,
@@ -111,6 +112,113 @@ def test_adam_rejects_a_non_finite_or_overflowing_gradient(bad):
             pytest.raises(NumericalDivergence, match="gradient of p"):
         opt.step(lr=0.1)
     np.testing.assert_array_equal(p.values, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_adam_bad_gradient_in_a_later_parameter_moves_no_parameter(bad):
+    """The check covers every parameter before any steps: a bad entry in
+    the second parameter's gradient names it, and the first parameter,
+    whose gradient is fine, keeps its bytes too."""
+    a = T.parameter(np.full((2, 3), 0.5))
+    a.grad = np.full((2, 3), 0.25)
+    b = T.parameter(np.array([1.0, -0.0, 2.0]))
+    b.grad = np.array([0.5, bad, 0.5])
+    before = [a.values.tobytes(), b.values.tobytes()]
+    opt = Adam([("a", a), ("b", b)])
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalDivergence, match="gradient of b "):
+        opt.step(lr=0.1, weight_decay=0.01)
+    assert [a.values.tobytes(), b.values.tobytes()] == before
+
+
+def test_adam_rejects_a_gradient_of_another_shape():
+    """A (3,) gradient for a (2, 3) parameter would broadcast over its
+    rows; the step raises ShapeError naming the parameter and both
+    shapes, before any parameter moves."""
+    a = T.parameter(np.ones(4))
+    a.grad = np.ones(4)
+    w = T.parameter(np.ones((2, 3)))
+    w.grad = np.ones(3)
+    opt = Adam([("a", a), ("w", w)])
+    with pytest.raises(ShapeError,
+                       match=r"gradient of w has shape \(3,\), the "
+                             r"parameter has shape \(2, 3\)"):
+        opt.step(lr=0.1)
+    np.testing.assert_array_equal(a.values, np.ones(4))
+    np.testing.assert_array_equal(w.values, np.ones((2, 3)))
+
+
+class LoopAdam:
+    """Adam as one set of passes per parameter, each with its own
+    moments: the oracle whose bits the optimizer's whole-vector passes
+    must keep."""
+
+    def __init__(self, named_params, lr_multipliers):
+        self.named_params = named_params
+        self.lr_multipliers = lr_multipliers
+        self.m = [np.zeros_like(p.values) for _, p in named_params]
+        self.v = [np.zeros_like(p.values) for _, p in named_params]
+        self.t = 0
+
+    def step(self, lr, weight_decay):
+        self.t += 1
+        b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for (name, p), m, v in zip(self.named_params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.values)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            mhat = m / bias1
+            vhat = v / bias2
+            step_lr = lr * self.lr_multipliers.get(name, 1.0)
+            p.values -= step_lr * mhat / (np.sqrt(vhat) + eps)
+            if weight_decay and p.values.ndim > 1:
+                p.values *= 1.0 - step_lr * weight_decay
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_keeps_the_bits_of_a_per_parameter_loop(weight_decay):
+    """Over several steps, with 1-d and 2-d parameters, two lr
+    multipliers and a parameter whose grad is None for the first steps,
+    every value and every moment equals the per-parameter loop's bitwise;
+    each parameter keeps its own array throughout."""
+    rng = np.random.default_rng(19)
+    shapes = {"w0": (3, 4), "b0": (4,), "head_w": (4, 2), "head_b": (2,),
+              "late": (2, 3)}
+    mults = {"head_w": 10.0, "head_b": 10.0}
+    # values near the step's size, so a step off by one bit shows in them
+    start = {name: rng.standard_normal(shape) * 1e-3
+             for name, shape in shapes.items()}
+    start["late"][0, 0] = -0.0
+    nets = [[(name, T.parameter(v.copy())) for name, v in start.items()]
+            for _ in range(2)]
+    opt, ref = Adam(nets[0], lr_multipliers=mults), LoopAdam(nets[1], mults)
+    arrays = [p.values for _, p in nets[0]]
+    for t in range(8):
+        for name, shape in shapes.items():
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 2)
+            for params in nets:
+                p = dict(params)[name]
+                p.grad = None if name == "late" and t < 3 else g.copy()
+        opt.step(0.003, weight_decay)
+        ref.step(0.003, weight_decay)
+        for i, ((name, p), (_, q)) in enumerate(zip(*nets)):
+            assert p.values is arrays[i], name
+            assert p.values.tobytes() == q.values.tobytes(), (t, name)
+            sl = opt.slices[i]
+            assert opt.m[sl].tobytes() == ref.m[i].ravel().tobytes(), name
+            assert opt.v[sl].tobytes() == ref.v[i].ravel().tobytes(), name
+    assert opt.t == ref.t
+
+
+def test_adam_without_parameters_steps_as_a_no_op():
+    opt = Adam([])
+    opt.step(0.1, weight_decay=0.01)
+    opt.step(0.1)
+    assert opt.m.size == opt.v.size == 0
 
 
 def test_balanced_batches_interleave_classes():
