@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* synth        generate blob datasets (optionally corrupted / shifted)
+* synth        generate blob datasets, optionally flipping train labels
 * train        train a model from a config file plus --key value overrides
 * eval         evaluate a checkpoint on a dataset
 * reject-curve accuracy versus rejection-rate table for a checkpoint

@@ -15,9 +15,9 @@ backward differentiates through them itself, so none of them goes on
 the tape.
 
 The instance level runs on position planes: the map is copied once into
-(H * W, B, C), so each spatial reduction adds H * W planes of B * C
-values (tensor.plane_sum, in numpy's own summation order) instead of
-running B * C reductions of H * W values each.  The centered planes
+(H * W, B, C), so each spatial reduction is one numpy reduction over the
+leading axis, adding the H * W planes of B * C values left to right,
+instead of B * C reductions of H * W values each.  The centered planes
 x - U are kept for the compensation op, which reads them too.
 """
 
@@ -67,9 +67,10 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
         raise DegenerateBatch("batch statistics need at least 2 samples")
     planes = np.ascontiguousarray(
         feat.values.reshape(b, c, h * w).transpose(2, 0, 1))
-    u = T.plane_sum(planes) / (h * w)
+    u = np.add.reduce(planes, axis=0) / (h * w)
     centered = planes - u
-    s = np.sqrt(T.plane_sum(centered * centered) / (h * w) + EPS_VAR)
+    s = np.sqrt(np.add.reduce(centered * centered, axis=0) / (h * w)
+                + EPS_VAR)
     u_bar, s_bar = u.sum(axis=0) / b, s.sum(axis=0) / b
     return LayerStats(instance_mean=T.constant(u),
                       instance_std=T.constant(s),

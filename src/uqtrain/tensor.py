@@ -264,31 +264,6 @@ def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
 # statistics op: a whole compensated layer is one node
 
 
-def plane_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum of an (n, ...) stack of planes over its leading axis, in the
-    order numpy's pairwise summation adds n contiguous values: one after
-    another below 8, as eight interleaved partial sums joined in a tree
-    up to 128, and as two halves cut at a multiple of 8 above that.  So
-    it equals the stack's transpose summed over its last axis bit for
-    bit, while each add runs over a whole plane, not over n values."""
-    n = planes.shape[0]
-    if n < 8:
-        return np.add.reduce(planes, axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return plane_sum(planes[:half]) + plane_sum(planes[half:])
-    whole = n - n % 8
-    # + 0.0, not a copy: from 8 values on numpy sums negative zeros to
-    # +0.0, and the sign of a zero addend changes no other sum
-    r = planes[:8] + 0.0
-    for i in range(8, whole, 8):
-        r += planes[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for p in planes[whole:]:
-        total += p
-    return total
-
-
 def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
                   eps_div: float) -> DiffArray:
     """Re-standardize a map by its instance statistics and re-scale and
@@ -299,13 +274,14 @@ def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
     x is a (B, C * H * W) block output or its (B, C, H, W) view, and the
     output keeps x's shape.  The op works on position planes: x read as
     (B, C, H * W) and transposed to (H * W, B, C), so every (B, C)
-    operand broadcasts along the leading axis and every spatial sum is a
-    plane_sum.  centered is x - u on those planes, as layer_stats leaves
-    it.  u, s are the (B, C) spatial mean and smoothed population std of
-    this exact x, and sm, ss the (C,) smoothed population stds of u and
-    s over the batch, all plain arrays; the backward differentiates
-    through them in closed form.  eps_m, eps_s are (B, C) noise fields.
-    The caller checks the shapes.
+    operand broadcasts along the leading axis and every spatial sum adds
+    whole planes left to right, as layer_stats does.  centered is x - u
+    on those planes, as layer_stats leaves it.  u, s are the (B, C)
+    spatial mean and smoothed population std of this exact x, and sm, ss
+    the (C,) smoothed population stds of u and s over the batch, all
+    plain arrays; the backward differentiates through them in closed
+    form.  eps_m, eps_s are (B, C) noise fields.  The caller checks the
+    shapes.
     """
     n, b, c = centered.shape
     scale = s + eps_s * ss
@@ -319,8 +295,8 @@ def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
         g = np.ascontiguousarray(g.reshape(b, c, n).transpose(2, 0, 1))
         a = scale / denom
         keep = 1.0 - a
-        g_sum = plane_sum(g)
-        gn_sum = plane_sum(g * centered / denom)
+        g_sum = np.add.reduce(g, axis=0)
+        gn_sum = np.add.reduce(g * centered / denom, axis=0)
         # d loss / d u and d loss / d s, the batch stds sm, ss included
         gu = (g_sum * keep + (u - u.sum(axis=0) / b)
               * (eps_m * g_sum).sum(axis=0) / (b * sm))

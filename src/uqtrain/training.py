@@ -63,8 +63,9 @@ class Adam:
     Nothing moves unless the whole step can be taken: a gradient whose
     shape differs from its parameter's raises ShapeError, and a
     non-finite or overflowing gradient raises NumericalDivergence naming
-    the first such parameter in order, both before any parameter
-    changes.
+    the first such parameter in order.  Either leaves the parameters, m,
+    v and t as they were: the new moments go into two spare vectors,
+    which replace m and v only once the new v is known to be finite.
     """
 
     beta1 = 0.9
@@ -80,6 +81,7 @@ class Adam:
             end += p.values.size
         self.m = np.zeros(end)
         self.v = np.zeros(end)
+        self._spare = np.empty(end), np.empty(end)
         self.t = 0
         self._mults = [(lr_multipliers or {}).get(name, 1.0)
                        for name, _ in self.named_params]
@@ -109,20 +111,24 @@ class Adam:
 
     def step(self, lr: float, weight_decay: float = 0.0) -> None:
         g = self._gather()
-        self.t += 1
+        t = self.t + 1
         if not g.size:
+            self.t = t
             return
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
-        m, v = self.m, self.v
-        m *= b1
-        work = np.multiply(g, 1.0 - b1)
-        m += work
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=work)
-        work *= g
-        v += work
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        # the new moments go into the spare vectors, so a refused step
+        # leaves m and v as they were.  No temporary is allocated: the new
+        # v's vector holds m's gradient term until v is built, and g, read
+        # for the last time, holds v * b2, which is added to the gradient
+        # term instead of the other way round (the same bits: + commutes)
+        m, v = self._spare
+        np.multiply(self.m, b1, out=m)
+        m += np.multiply(g, 1.0 - b1, out=v)
+        np.multiply(g, 1.0 - b2, out=v)
+        v *= g
+        v += np.multiply(self.v, b2, out=g)
         # a non-finite gradient makes v non-finite too, and so does an
         # overflowing g * g, which would freeze the parameter for good;
         # v >= 0, so its max is finite exactly when every entry is (a
@@ -133,9 +139,12 @@ class Adam:
                         if not np.isfinite(v[sl]).all())
             raise NumericalDivergence(
                 f"gradient of {name} is not finite or overflows at "
-                f"optimizer step {self.t}")
-        # step = ((lr * multiplier) * (m / bias1)) / (sqrt(v / bias2) + eps)
-        step = np.divide(m, bias1, out=work)
+                f"optimizer step {t}")
+        self._spare = self.m, self.v
+        self.m, self.v, self.t = m, v, t
+        # step = ((lr * multiplier) * (m / bias1)) / (sqrt(v / bias2) + eps),
+        # built in the old m's vector, now spare
+        step = np.divide(m, bias1, out=self._spare[0])
         denom = np.divide(v, bias2, out=g)
         np.sqrt(denom, out=denom)
         denom += self.eps

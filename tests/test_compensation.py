@@ -255,6 +255,36 @@ def assert_same_bits(got, want):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+# From 8 positions on, numpy sums a channel's contiguous positions
+# pairwise, while the planes are added left to right.  Each deviation
+# from the channel-axis formulas must then stay within this many times
+# the largest magnitude of the array it is in, about 9 float64 epsilons;
+# at the grids below the worst is 3.1e-16 (the input gradient at 2x4
+# and 12x12).
+PAIRWISE_TOL = 2e-15
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=PAIRWISE_TOL * np.abs(want).max())
+
+
+def left_to_right_stats(x4):
+    """Each sample's channel mean and smoothed std, every spatial sum
+    taken one position after another from +0.0, as numpy's reductions
+    start (so negative zeros sum to +0.0)."""
+    b, c, h, w = x4.shape
+    cols = x4.reshape(b, c, h * w).transpose(2, 0, 1)
+    total = np.zeros((b, c))
+    for col in cols:
+        total = total + col
+    u = total / (h * w)
+    total = np.zeros((b, c))
+    for col in cols:
+        total = total + (col - u) * (col - u)
+    return u, np.sqrt(total / (h * w) + EPS_VAR)
+
+
 # 2 to 7 positions, where numpy adds left to right, then grids from 8
 # positions on, where it sums pairwise (above 128 in halves)
 GRIDS = [(1, 2), (1, 3), (2, 2), (1, 5), (2, 3), (1, 7),
@@ -265,9 +295,11 @@ GRIDS = [(1, 2), (1, 3), (2, 2), (1, 5), (2, 3), (1, 7),
 @pytest.mark.parametrize("flat", [False, True], ids=["4d", "flat"])
 def test_position_planes_repeat_the_channel_axis_formulas_bitwise(h, w,
                                                                   flat):
-    """layer_stats and the compensation op's forward and backward give
-    the (B, C, H * W) formulas' bits, signs of zero included, on a 4-d
-    map and on a block's flat output."""
+    """Below 8 positions, layer_stats and the compensation op's forward
+    and backward give the (B, C, H * W) formulas' bits, signs of zero
+    included, on a 4-d map and on a block's flat output.  From 8 on they
+    stay within PAIRWISE_TOL of them, and the instance statistics are
+    left-to-right sums over the positions, bit for bit."""
     rng = np.random.default_rng(h * 100 + w)
     b, c = 5, 3
     x4 = rng.standard_normal((b, c, h, w)) * rng.uniform(0.5, 3.0, (b, c, 1, 1))
@@ -276,10 +308,14 @@ def test_position_planes_repeat_the_channel_axis_formulas_bitwise(h, w,
     g4[1, 2] = -0.0
     st = layer_stats(T.constant(x4))
     expect = channel_axis_stats(x4)
+    check = assert_same_bits if h * w < 8 else assert_close
     for got, want in zip((st.instance_mean, st.instance_std,
                           st.mean_of_means, st.std_of_means,
                           st.mean_of_stds, st.std_of_stds), expect):
-        assert_same_bits(got.values, want)
+        check(got.values, want)
+    u, s = left_to_right_stats(x4)
+    assert_same_bits(st.instance_mean.values, u)
+    assert_same_bits(st.instance_std.values, s)
 
     shape = (b, c * h * w) if flat else x4.shape
     draw = draw_perturbation(b, c, seed=h, epoch=w, batch_index=0,
@@ -292,8 +328,8 @@ def test_position_planes_repeat_the_channel_axis_formulas_bitwise(h, w,
         x4.reshape(shape), *expect[:2], expect[3], expect[5],
         draw.eps_mean, draw.eps_std, g4.reshape(shape))
     assert out.shape == gx.shape == shape
-    assert_same_bits(out.values, want_out)
-    assert_same_bits(gx, want_gx)
+    check(out.values, want_out)
+    check(gx, want_gx)
 
 
 def test_one_draw_repeats_two_draws_from_the_stream():

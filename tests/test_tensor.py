@@ -410,21 +410,6 @@ def test_forward_deterministic_bitwise():
     assert forward().tobytes() == forward().tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 16, 17, 64, 127, 128,
-                               129, 136, 300, 1000])
-def test_plane_sum_repeats_numpy_summation_order_bitwise(n):
-    """Summing n planes gives numpy's sum over n contiguous values, bit
-    for bit, from the one-by-one range through the pairwise tree to the
-    recursive halves; a row of negative zeros keeps its sign."""
-    rng = np.random.default_rng(n)
-    rows = rng.standard_normal((300, n)) * rng.uniform(1e-3, 1e3, (300, 1))
-    rows[0] = -0.0
-    got = T.plane_sum(np.ascontiguousarray(rows.T))
-    want = rows.sum(axis=1)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
 def test_perturb_stats_on_the_flat_output_matches_its_grid_view_bitwise():
     rng = np.random.default_rng(5)
     grid = rng.standard_normal((6, 3, 2, 2)) * 2.0

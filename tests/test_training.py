@@ -131,6 +131,38 @@ def test_adam_bad_gradient_in_a_later_parameter_moves_no_parameter(bad):
     assert [a.values.tobytes(), b.values.tobytes()] == before
 
 
+def test_adam_refused_step_leaves_no_trace():
+    """A step refused for a NaN gradient leaves m, v, t and every
+    parameter bitwise as they were, so the next finite step is the one
+    an optimizer that never saw the NaN takes."""
+    a = T.parameter(np.array([0.5, -1.0, 2.0]))
+    w = T.parameter(np.full((2, 2), 0.75))
+    opt = Adam([("a", a), ("w", w)])
+    for grad in (np.array([0.25, -0.5, 1.0]), np.array([-0.125, 0.5, 0.0])):
+        a.grad, w.grad = grad, np.full((2, 2), 0.5)
+        opt.step(lr=0.1, weight_decay=0.01)
+
+    def state():
+        return [x.tobytes() for x in (opt.m, opt.v, a.values, w.values)] \
+            + [opt.t]
+
+    before = state()
+    twin_opt, twin_a, twin_w = copy.deepcopy((opt, a, w))
+    a.grad = np.array([0.25, np.nan, 1.0])
+    with pytest.raises(NumericalDivergence, match="at optimizer step 3"):
+        opt.step(lr=0.1, weight_decay=0.01)
+    assert state() == before
+
+    for p, q in ((a, twin_a), (w, twin_w)):
+        p.grad = q.grad = np.full(p.values.shape, -0.25)
+    opt.step(lr=0.1, weight_decay=0.01)
+    twin_opt.step(lr=0.1, weight_decay=0.01)
+    assert opt.t == twin_opt.t == 3
+    for got, want in ((opt.m, twin_opt.m), (opt.v, twin_opt.v),
+                      (a.values, twin_a.values), (w.values, twin_w.values)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_adam_rejects_a_gradient_of_another_shape():
     """A (3,) gradient for a (2, 3) parameter would broadcast over its
     rows; the step raises ShapeError naming the parameter and both
@@ -504,6 +536,17 @@ def test_every_rung_objective_matches_finite_differences(tag, overrides):
     assert len(params) == 9
     assert T.check_gradients(f, params, h=gradcheck.FD_STEP) \
         < gradcheck.REL_TOL
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP direction 5: at seed 25 one instance std sits at its 1e-6 "
+    "floor, and central differences at FD_STEP step across that scale "
+    "(rel err 0.996)"))
+def test_end_to_end_audit_passes_at_seed_25():
+    """The one failing seed of the audit over seeds 0-99.  Strict: once
+    the zero-spread rule lands, this passes and the mark must go."""
+    assert T.check_gradients(*gradcheck.end_to_end_case(25),
+                             h=gradcheck.FD_STEP) < gradcheck.REL_TOL
 
 
 def test_step_loss_takes_a_given_plan_only_with_a_partner_branch():
