@@ -39,14 +39,7 @@ from .errors import (
 )
 from .files import write_csv
 from .heads import load_checkpoint
-from .training import (
-    ABLATION_LADDER,
-    class_count,
-    evaluate,
-    predict,
-    rejection_accuracies,
-    run_experiment,
-)
+from .training import ABLATION_LADDER, class_count, evaluate, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,8 +188,7 @@ def cmd_reject_curve(args) -> int:
                           f"{args.rates!r}") from None
     if any(not 0.0 <= r < 1.0 for r in rates):
         raise ConfigError("rejection rates must be in [0, 1)")
-    preds, scores = predict(net, ds.features)
-    accs = rejection_accuracies(preds == ds.labels, scores, rates)
+    accs = evaluate(net, ds, rates).accuracy_by_rejection
     rows = [(r, accs[r], len(ds) - int(np.floor(r * len(ds))))
             for r in rates]
     print("rate,accuracy,retained")

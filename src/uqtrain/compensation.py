@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ShapeError
+from .errors import ContractError
 from .rng import STREAM_PERTURB, keyed_rng
 from .stats import layer_stats
 
@@ -75,12 +75,12 @@ def compensate(feat: T.DiffArray, stats,
             and feat.size == n * b * c
             and (feat.ndim == 2 or feat.shape[1] == c))
     if not fits:
-        raise ShapeError(f"stats of a {(b, c)} map at {n} positions do not "
-                         f"match map {feat.shape}")
+        raise ContractError(f"stats of a {(b, c)} map at {n} positions do not "
+                            f"match map {feat.shape}")
     for eps in (draw.eps_mean, draw.eps_std):
         if np.shape(eps) != (b, c):
-            raise ShapeError(f"perturbation shape {np.shape(eps)} does not "
-                             f"match map ({b}, {c})")
+            raise ContractError(f"perturbation shape {np.shape(eps)} does not "
+                                f"match map ({b}, {c})")
     return T.perturb_stats(feat, stats.centered.values,
                            stats.instance_mean.values,
                            stats.instance_std.values,

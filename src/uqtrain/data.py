@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DataFormatError,
-    GenerationError,
-    LabelError,
-)
+from .errors import ContractError, DataFormatError, GenerationError
 from .files import atomic_open
 from .rng import STREAM_DATA, keyed_rng
 
@@ -40,7 +35,7 @@ class LabeledDataset:
         if self.labels.shape != (self.features.shape[0],):
             raise ContractError("labels do not match feature rows")
         if self.labels.size and self.labels.min() < 0:
-            raise LabelError("labels must be non-negative")
+            raise ContractError("labels must be non-negative")
 
     def __len__(self):
         return self.features.shape[0]

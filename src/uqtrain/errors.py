@@ -9,28 +9,9 @@ class UqtrainError(Exception):
     """Base class for all deliberate library errors."""
 
 
-class ShapeError(UqtrainError):
-    """Operands have incompatible or unsupported shapes."""
-
-
 class ContractError(UqtrainError):
-    """A documented precondition was violated by the caller."""
-
-
-class DegenerateDenominator(UqtrainError):
-    """A division (or norm) hit a denominator too close to zero."""
-
-
-class DegenerateSpatialDims(UqtrainError):
-    """Spatial statistics need at least two positions per feature map."""
-
-
-class DegenerateBatch(UqtrainError):
-    """Batch statistics need at least two samples."""
-
-
-class LabelError(UqtrainError):
-    """A class label is outside the valid range for the task."""
+    """A documented precondition was violated by the caller: a shape, a
+    label, or a batch, map or denominator too small for what is asked."""
 
 
 class NumericalDivergence(UqtrainError):

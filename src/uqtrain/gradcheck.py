@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .compensation import PerturbationDraw, compensate
 from .config import TrainConfig
-from .errors import ShapeError
+from .errors import ContractError
 from .heads import build_vector_network
 from .stats import layer_stats
 from .training import step_loss
@@ -40,8 +40,8 @@ def weighted_sum(x: T.DiffArray, w) -> T.DiffArray:
     array of x's shape."""
     w = w if isinstance(w, T.DiffArray) else T.constant(w)
     if x.shape != w.shape:
-        raise ShapeError(f"weighted_sum: shapes {x.shape} and {w.shape} "
-                         "differ")
+        raise ContractError(f"weighted_sum: shapes {x.shape} and {w.shape} "
+                            "differ")
     xv, wv = x.values, w.values
 
     def bw(g):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, DataFormatError, ShapeError
+from .errors import ContractError, DataFormatError
 from .files import atomic_open
 from .rng import STREAM_INIT, keyed_rng
 
@@ -85,8 +85,8 @@ def head_forward(net: Network, feats: T.DiffArray, labels: np.ndarray,
     mean = T.affine(feats, net.mean_w, net.mean_b)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (feats.shape[0],):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch "
-                         f"{feats.shape[0]}")
+        raise ContractError(f"labels shape {labels.shape} does not match "
+                            f"batch {feats.shape[0]}")
     sigma = None
     if with_sigma:
         sigma = T.softplus(T.affine(feats, net.sigma_w, net.sigma_b),

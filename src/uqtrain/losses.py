@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, LabelError, ShapeError
+from .errors import ContractError
 from .heads import UncertainBatch
 from .mining import TripletPlan
 
@@ -103,25 +103,26 @@ def ce_loss(mixed: T.DiffArray, classifier: T.DiffArray,
     one tensor.class_cross_entropy node.
     """
     if mixed.ndim != 2:
-        raise ShapeError(f"ce_loss needs 2-d features, got {mixed.shape}")
+        raise ContractError(f"ce_loss needs 2-d features, got {mixed.shape}")
     if classifier.ndim != 2 or classifier.shape[1] != mixed.shape[1]:
-        raise ShapeError(f"classifier {classifier.shape} does not match "
-                         f"features {mixed.shape}")
+        raise ContractError(f"classifier {classifier.shape} does not match "
+                            f"features {mixed.shape}")
     b = mixed.shape[0]
     k = classifier.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (b,):
-        raise ShapeError(f"labels shape {labels.shape} does not match "
-                         f"batch {b}")
+        raise ContractError(f"labels shape {labels.shape} does not match "
+                            f"batch {b}")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelError(f"labels outside [0, {k})")
+        raise ContractError(f"labels outside [0, {k})")
 
     targets = np.zeros((b, k), dtype=np.float64)
     targets[np.arange(b), labels] += 1.0
     if plan is not None:
         if np.shape(plan.valid_mask) != (b,):
-            raise ShapeError(f"valid_mask shape {np.shape(plan.valid_mask)} "
-                             f"does not match batch {b}")
+            raise ContractError(
+                f"valid_mask shape {np.shape(plan.valid_mask)} does not "
+                f"match batch {b}")
         rows = np.flatnonzero(plan.valid_mask)
         for _, index in _partners(plan, include_pos, include_neg):
             targets[rows, labels[index[rows]]] += 1.0

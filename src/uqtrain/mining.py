@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateBatch, ShapeError
+from .errors import ContractError
 from .heads import UncertainBatch
 from .rng import STREAM_MINE, keyed_rng
 
@@ -47,8 +47,8 @@ class TripletPlan:
 
 def _check_embeddings(mu: np.ndarray) -> None:
     if mu.ndim != 2 or mu.shape[1] == 0:
-        raise ShapeError(f"need a 2-d embedding matrix with at least one "
-                         f"column, got {mu.shape}")
+        raise ContractError(f"need a 2-d embedding matrix with at least one "
+                            f"column, got {mu.shape}")
 
 
 def pairwise_cosine_distances(mu: np.ndarray, rows=None) -> np.ndarray:
@@ -99,10 +99,10 @@ def mine_triplets(u: UncertainBatch, p: float, seed: int, epoch: int,
     _check_embeddings(mu)
     b = mu.shape[0]
     if b < 2:
-        raise DegenerateBatch(f"mining needs at least 2 samples, got {b}")
+        raise ContractError(f"mining needs at least 2 samples, got {b}")
     if labels.shape != (b,):
-        raise ShapeError(f"labels shape {labels.shape} does not match "
-                         f"batch {b}")
+        raise ContractError(f"labels shape {labels.shape} does not match "
+                            f"batch {b}")
 
     # order lists each class's rows in index order, classes one after
     # another; row i's class fills order[start[i]:start[i] + count[i]],

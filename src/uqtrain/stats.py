@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DegenerateBatch, DegenerateSpatialDims, ShapeError
+from .errors import ContractError
 
 # variance smoothing inside every std; keeps each std at least 1e-6, so
 # dividing by one is safe and sqrt is differentiable at zero spread.
@@ -58,13 +58,13 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
     """Both levels of statistics of a (B, C, H, W) map.  Each mean is
     taken once and serves its std too."""
     if feat.ndim != 4:
-        raise ShapeError(f"layer_stats needs a 4-d map, got {feat.shape}")
+        raise ContractError(f"layer_stats needs a 4-d map, got {feat.shape}")
     b, c, h, w = feat.shape
     if h * w < 2:
-        raise DegenerateSpatialDims(
+        raise ContractError(
             f"spatial std needs at least 2 positions, map is {h}x{w}")
     if b < 2:
-        raise DegenerateBatch("batch statistics need at least 2 samples")
+        raise ContractError("batch statistics need at least 2 samples")
     planes = np.ascontiguousarray(
         feat.values.reshape(b, c, h * w).transpose(2, 0, 1))
     u = np.add.reduce(planes, axis=0) / (h * w)

@@ -23,8 +23,8 @@ Design rules the ops follow:
   without copying it, and copies g, views, non-contiguous arrays, numpy
   scalars and an array the node already gave to another input, so no
   later += writes through to another gradient;
-* degenerate numerics raise (DegenerateDenominator) rather than letting
-  NaN or inf propagate silently;
+* a denominator within EPS_DIV of zero raises ContractError rather
+  than letting NaN or inf propagate silently;
 * forward values match the textbook definitions.
 """
 
@@ -32,7 +32,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import ContractError, DegenerateDenominator, ShapeError
+from .errors import ContractError
 
 # |denominator| below this is treated as a division by zero.
 EPS_DIV = 1e-12
@@ -183,7 +183,7 @@ def backward(loss: DiffArray, tape: Tape) -> None:
 
 def add(a: DiffArray, b: DiffArray) -> DiffArray:
     if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+        raise ContractError(f"add: shapes {a.shape} and {b.shape} differ")
     out = DiffArray(a.values + b.values)
 
     def bw(g):
@@ -244,8 +244,8 @@ def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
     """x @ w + b for a (B, n) input, an (n, m) weight and an (m,) bias."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
             or b.shape != (w.shape[1],):
-        raise ShapeError(f"affine: {x.shape} @ {w.shape} + {b.shape} "
-                         "does not fit")
+        raise ContractError(f"affine: {x.shape} @ {w.shape} + {b.shape} "
+                            "does not fit")
     y = x.values @ w.values
     y += b.values
     out = DiffArray(y)
@@ -291,7 +291,7 @@ def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
 
     def bw(g):
         # every divisor is at least 1e-6: s, sm and ss carry the variance
-        # smoothing and denom adds eps_div, so no DegenerateDenominator guard
+        # smoothing and denom adds eps_div, so no zero-denominator guard
         g = np.ascontiguousarray(g.reshape(b, c, n).transpose(2, 0, 1))
         a = scale / denom
         keep = 1.0 - a
@@ -343,16 +343,16 @@ def class_cross_entropy(features: DiffArray, classifier: DiffArray,
 def _partner_rows(index, b: int, opname: str) -> np.ndarray:
     idx = np.asarray(index, dtype=np.int64)
     if idx.shape != (b,) or (b and (idx.min() < 0 or idx.max() >= b)):
-        raise ShapeError(f"{opname}: partner indices must be {b} rows of "
-                         f"the batch, got shape {idx.shape}")
+        raise ContractError(f"{opname}: partner indices must be {b} rows of "
+                            f"the batch, got shape {idx.shape}")
     return idx
 
 
 def _row_mask(keep, b: int, opname: str) -> np.ndarray:
     k = np.asarray(keep, dtype=np.float64)
     if k.shape != (b,):
-        raise ShapeError(f"{opname}: row mask must be ({b},), got shape "
-                         f"{k.shape}")
+        raise ContractError(f"{opname}: row mask must be ({b},), got shape "
+                            f"{k.shape}")
     return k
 
 
@@ -383,7 +383,7 @@ def mix_partners(mean: DiffArray, sigma: DiffArray, partner_indices,
     Also returns a function that builds the constant weights as they act
     on out, [keep * w_self + 1 - keep, keep * w_1, ...], when called: only
     a report reads them, so a step that does not pays nothing for them.
-    Raises DegenerateDenominator on a denominator within EPS_DIV of zero.
+    Raises ContractError on a denominator within EPS_DIV of zero.
     """
     b, d = mean.shape
     idx = [_partner_rows(p, b, "mix_partners") for p in partner_indices]
@@ -392,7 +392,7 @@ def mix_partners(mean: DiffArray, sigma: DiffArray, partner_indices,
     s_p = [s[p] for p in idx]
     denom = sum(s_p, s)   # left to right, s first
     if np.any(np.abs(denom) < EPS_DIV):
-        raise DegenerateDenominator(
+        raise ContractError(
             f"mix_partners: denominator within {EPS_DIV} of zero")
     w_self = s / denom
     w_p = [sp / denom for sp in s_p]

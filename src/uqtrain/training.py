@@ -16,13 +16,7 @@ from . import tensor as T
 from .compensation import forward_with_compensation
 from .config import TrainConfig, write_config_echo
 from .data import LabeledDataset
-from .errors import (
-    ContractError,
-    DataFormatError,
-    DegenerateBatch,
-    NumericalDivergence,
-    ShapeError,
-)
+from .errors import ContractError, DataFormatError, NumericalDivergence
 from .files import write_csv
 from .heads import (
     Network,
@@ -61,7 +55,7 @@ class Adam:
     stay their own: the optimizer writes into p.values, never rebinds it.
 
     Nothing moves unless the whole step can be taken: a gradient whose
-    shape differs from its parameter's raises ShapeError, and a
+    shape differs from its parameter's raises ContractError, and a
     non-finite or overflowing gradient raises NumericalDivergence naming
     the first such parameter in order.  Either leaves the parameters, m,
     v and t as they were: the new moments go into two spare vectors,
@@ -95,14 +89,14 @@ class Adam:
 
     def _gather(self) -> np.ndarray:
         """The gradients as one flat vector, zeros for a None grad; raises
-        ShapeError on a gradient whose shape is not its parameter's."""
+        ContractError on a gradient whose shape is not its parameter's."""
         parts = []
         for name, p in self.named_params:
             g = p.grad
             if g is None:
                 g = np.zeros(p.values.shape)
             elif g.shape != p.values.shape:
-                raise ShapeError(
+                raise ContractError(
                     f"gradient of {name} has shape {g.shape}, the "
                     f"parameter has shape {p.values.shape}")
             parts.append(g.ravel())
@@ -240,7 +234,7 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
     NumericalDivergence if the loss or a gradient leaves the realm of
     finite numbers."""
     if x.shape[0] < 2:
-        raise DegenerateBatch("training batches need at least 2 samples")
+        raise ContractError("training batches need at least 2 samples")
     with T.Tape() as tape:
         breakdown, _ = step_loss(net, x, labels, cfg, epoch, batch_index)
 

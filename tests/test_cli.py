@@ -8,12 +8,15 @@ import platform
 import subprocess
 import sys
 import textwrap
+from inspect import getmembers, isclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import uqtrain
+import uqtrain.cli as cli
+import uqtrain.errors as errors
 from uqtrain.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from uqtrain.data import LabeledDataset, load_dataset, save_dataset
 from uqtrain.heads import (build_vector_network, load_checkpoint,
@@ -363,6 +366,39 @@ def test_missing_checkpoint_exits_4(data_dir, capsys):
     code = main(["eval", "--checkpoint", "/nonexistent/ck.json",
                  "--data", data_dir["test"]])
     assert code == EXIT_IO
+
+
+# the exit code and stderr prefix of every class in errors; a class
+# missing here fails the test below until its line of the table is added
+EXIT_TABLE = {
+    "UqtrainError": (EXIT_CONFIG, "error: "),
+    "ContractError": (EXIT_CONFIG, "error: "),
+    "ConfigError": (EXIT_CONFIG, "config error: "),
+    "NumericalDivergence": (EXIT_DIVERGED, "numerical divergence: "),
+    "GenerationError": (EXIT_IO, "i/o error: "),
+    "DataFormatError": (EXIT_IO, "i/o error: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, obj in getmembers(errors, isclass)
+    if obj.__module__ == errors.__name__))
+def test_every_error_type_has_its_exit_code(name, capsys, monkeypatch):
+    def cmd_gradcheck(args):
+        raise getattr(errors, name)("the message")
+    monkeypatch.setattr(cli, "cmd_gradcheck", cmd_gradcheck)
+    code, prefix = EXIT_TABLE[name]
+    assert main(["gradcheck", "--seeds", "1"]) == code
+    assert capsys.readouterr().err == f"{prefix}the message\n"
+
+
+def test_unplaceable_centers_exit_4(tmp_path, capsys):
+    code = main(["synth", "--train-out", os.path.join(tmp_path, "t.csv"),
+                 "--test-out", os.path.join(tmp_path, "v.csv"),
+                 "--classes", "4", "--features", "1", "--spread", "5"])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.startswith(
+        "i/o error: could not place 4 centers")
 
 
 def _list_payload(blob):

@@ -1,5 +1,7 @@
 """Statistic perturbation layer: identity, zero-mean, and oracle checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from uqtrain.compensation import (
     draw_perturbation,
     forward_with_compensation,
 )
-from uqtrain.errors import ShapeError
+from uqtrain.errors import ContractError
 from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import build_vector_network
 from uqtrain.rng import STREAM_PERTURB, keyed_rng
@@ -194,12 +196,18 @@ def test_stats_shape_mismatch_rejected():
     rng = np.random.default_rng(11)
     feat = rng.standard_normal((4, 3, 2, 2))
     other = layer_stats(T.constant(rng.standard_normal((4, 5, 2, 2))))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError,
+                       match=r"stats of a \(4, 5\) map at 4 positions do not "
+                             r"match map \(4, 3, 2, 2\)"):
         compensate(T.constant(feat), other, zero_draw(4, 5))
     # a flat map's width must hold whole channels, and its batch must match
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError,
+                       match=r"stats of a \(4, 5\) map at 4 positions do not "
+                             r"match map \(4, 12\)"):
         compensate(T.constant(feat.reshape(4, 12)), other, zero_draw(4, 5))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError,
+                       match=r"stats of a \(4, 3\) map at 4 positions do not "
+                             r"match map \(2, 12\)"):
         compensate(T.constant(feat[:2].reshape(2, 12)),
                    layer_stats(T.constant(feat)), zero_draw(4, 3))
     # both noise fields must be (B, C); neither may broadcast
@@ -207,7 +215,10 @@ def test_stats_shape_mismatch_rejected():
     for shape in ((3,), (1, 1)):
         for draw in (PerturbationDraw(np.zeros(shape), np.zeros((4, 3))),
                      PerturbationDraw(np.zeros((4, 3)), np.zeros(shape))):
-            with pytest.raises(ShapeError):
+            with pytest.raises(ContractError,
+                               match=r"perturbation shape "
+                                     + re.escape(str(shape))
+                                     + r" does not match map \(4, 3\)"):
                 compensate(T.constant(feat), own, draw)
 
 

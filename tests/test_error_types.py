@@ -43,5 +43,7 @@ def test_every_error_type_is_raised_or_caught():
                 elif isinstance(n, ast.ExceptHandler) and n.type is not None:
                     used |= named(n.type)
     types = error_types()
-    assert {"UqtrainError", "DegenerateDenominator"} <= types
+    assert types == {"UqtrainError", "ConfigError", "ContractError",
+                     "NumericalDivergence", "GenerationError",
+                     "DataFormatError"}
     assert types - used == set()

@@ -8,7 +8,7 @@ import pytest
 
 import uqtrain.heads as heads
 import uqtrain.tensor as T
-from uqtrain.errors import ContractError, DataFormatError, ShapeError
+from uqtrain.errors import ContractError, DataFormatError
 from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import (
     SIGMA_FLOOR,
@@ -93,10 +93,13 @@ def test_score_ranking_matches_sort_oracle():
 
 def test_head_forward_shape_errors():
     net = make_net()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError,
+                       match=r"affine: \(2, 5\) @ \(16, 8\) \+ \(8,\) does "
+                             r"not fit"):
         head_forward(net, T.constant(np.zeros((2, 5))),
                      np.zeros(2, dtype=np.int64))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError,
+                       match=r"labels shape \(3,\) does not match batch 2"):
         head_forward(net, T.constant(np.zeros((2, 16))),
                      np.zeros(3, dtype=np.int64))
 

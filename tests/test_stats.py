@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import uqtrain.tensor as T
-from uqtrain.errors import DegenerateBatch, DegenerateSpatialDims
+from uqtrain.errors import ContractError
 from uqtrain.stats import layer_stats
 
 
@@ -159,12 +159,15 @@ def test_constant_shift_moves_means_only():
 
 
 def test_single_pixel_map_rejected():
-    with pytest.raises(DegenerateSpatialDims):
+    with pytest.raises(ContractError,
+                       match="spatial std needs at least 2 positions, map "
+                             "is 1x1"):
         layer_stats(T.constant(np.ones((2, 3, 1, 1))))
 
 
 def test_single_sample_batch_rejected():
-    with pytest.raises(DegenerateBatch):
+    with pytest.raises(ContractError,
+                       match="batch statistics need at least 2 samples"):
         layer_stats(T.constant(np.ones((1, 3, 2, 2))))
 
 
