@@ -133,11 +133,10 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_ds, test_ds = _load_pair(cfg)
     os.makedirs(args.out, exist_ok=True)
-    result = run_experiment(cfg, train_ds, test_ds, out_dir=args.out,
-                            tag=args.tag)
+    result = run_experiment(cfg, train_ds, test_ds, out_dir=args.out)
     acc = result.report.accuracy
     print(f"final test accuracy: {acc:.4f}")
-    print(f"artifacts in {args.out}/ (tag {args.tag})")
+    print(f"artifacts in {args.out}/ (run_*)")
     return EXIT_OK
 
 
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     _add_config_arguments(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tag", default="run", help="artifact name prefix")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

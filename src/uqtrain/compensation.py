@@ -12,8 +12,10 @@ of means/stds, a map F becomes
 
 with eps_m, eps_s ~ N(0, 1) drawn fresh per step from a keyed stream.
 With eps = 0 this is the identity up to the eps_div smoothing, and in
-expectation it leaves the map unchanged.  The layer is train-only;
-evaluation runs the plain forward pass.
+expectation it leaves the map unchanged.  The layer is train-only and
+follows every backbone block: a training forward passes the step's
+noise key (seed, epoch, batch_index), and evaluation passes no key and
+runs the plain forward pass.
 
 A block's output F stays flat, (B, C * H * W), on the tape.  Its
 (C, H, W) grid is metadata the block carries: the statistics read an
@@ -90,11 +92,13 @@ def compensate(feat: T.DiffArray, stats,
 
 
 def forward_with_compensation(x: T.DiffArray, net,
-                              enabled_layers: tuple[int, ...], seed: int,
-                              epoch: int, batch_index: int) -> T.DiffArray:
-    """Run a network's backbone, compensating the enabled layers.
+                              key: tuple[int, int, int] | None
+                              ) -> T.DiffArray:
+    """Run a network's backbone, compensating every block when a noise
+    key is given.
 
-    enabled_layers holds 1-based block indices.  Evaluation passes none:
+    key is (seed, epoch, batch_index): block k (1-based) then draws its
+    noise from (seed, epoch, batch_index, k).  Evaluation passes None:
     then no statistics are computed and no noise is drawn, so the result
     is bitwise identical to the plain forward pass.  Every block output
     stays flat; the statistics read an off-tape (B, C, H, W) view of it.
@@ -103,12 +107,11 @@ def forward_with_compensation(x: T.DiffArray, net,
     h = x
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
-        if k in enabled_layers:
+        if key is not None:
             bsz = feat.shape[0]
             st = layer_stats(T.constant(feat.values.reshape(bsz,
                                                             *block.grid)))
-            draw = draw_perturbation(bsz, block.grid[0], seed, epoch,
-                                     batch_index, k)
+            draw = draw_perturbation(bsz, block.grid[0], *key, k)
             feat = compensate(feat, st, draw)
         # frees the pre-activation map before the block input; measured on
         # a 1000-row eval batch (2 cores, numpy 2.4.6) this order runs the

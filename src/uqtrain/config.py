@@ -36,9 +36,8 @@ class TrainConfig:
     hidden_grid: str = "16x2x2"
     num_blocks: int = 2
 
-    # statistic compensation
+    # statistic compensation (of every backbone block)
     compensation: bool = True
-    compensation_layers: str = "all"
 
     # ablation toggles
     use_positive_branch: bool = True
@@ -84,7 +83,6 @@ class TrainConfig:
                                   f"or leading or trailing blanks, got "
                                   f"{path!r}")
         self.parse_grid()
-        self.resolve_compensation_layers()
         return self
 
     def parse_grid(self) -> tuple[int, int, int]:
@@ -100,22 +98,6 @@ class TrainConfig:
         if min(c, h, w) < 1 or h * w < 2:
             raise ConfigError(f"hidden_grid dims invalid: {self.hidden_grid!r}")
         return c, h, w
-
-    def resolve_compensation_layers(self) -> tuple[int, ...]:
-        """compensation_layers is 'all' or comma-separated 1-based indices."""
-        if self.compensation_layers.strip() == "all":
-            return tuple(range(1, self.num_blocks + 1))
-        try:
-            layers = tuple(int(p) for p in
-                           self.compensation_layers.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"compensation_layers must be 'all' or comma-separated "
-                f"integers, got {self.compensation_layers!r}") from None
-        if any(not 1 <= l <= self.num_blocks for l in layers):
-            raise ConfigError(f"compensation_layers out of range 1.."
-                              f"{self.num_blocks}: {layers}")
-        return layers
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}

@@ -199,7 +199,8 @@ def save_checkpoint(net: Network, path: str, rng_state: dict | None = None):
 def load_checkpoint(path: str) -> tuple[Network, dict]:
     """Rebuild a network bitwise-identically from save_checkpoint output,
     from its buffers alone: no initialisation is drawn.  Any payload that
-    does not rebuild raises DataFormatError."""
+    does not rebuild, or holds a non-finite parameter, raises
+    DataFormatError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
@@ -225,6 +226,10 @@ def load_checkpoint(path: str) -> tuple[Network, dict]:
                 raise DataFormatError(
                     f"parameter {name}: shape {loaded[name].shape} does not "
                     f"match architecture {shape}")
+            # scoring would rank by a NaN sigma or argmax a NaN logit
+            if not np.isfinite(loaded[name]).all():
+                raise DataFormatError(f"{path}: parameter {name} holds NaN "
+                                      f"or inf")
         net = Network(payload["arch"], loaded)
     # binascii.Error (bad base64) is a ValueError
     except (AttributeError, ContractError, KeyError, TypeError,

@@ -199,12 +199,12 @@ def step_loss(net: Network, x: np.ndarray, labels: np.ndarray,
     """The training objective of one batch, as the four switches of cfg
     compose it; returns (breakdown, plan).  A given plan replaces the
     mined one; without a partner branch there is no plan at all."""
-    layers = cfg.resolve_compensation_layers() if cfg.compensation else ()
     # only the partner blend reads sigma, so a step without a partner
     # branch builds no sigma head
     partners = cfg.use_positive_branch or cfg.use_negative_branch
     feats = forward_with_compensation(
-        T.constant(x), net, layers, cfg.seed, epoch, batch_index)
+        T.constant(x), net,
+        (cfg.seed, epoch, batch_index) if cfg.compensation else None)
     u = head_forward(net, feats, labels, with_sigma=partners)
 
     if not partners:
@@ -282,8 +282,7 @@ def _forward(net: Network, x: np.ndarray, with_sigma: bool):
     preds = np.empty(n, dtype=np.intp)
     scores = np.empty(n) if with_sigma else None
     for rows in row_blocks(n, SCORE_BLOCK_ROWS):
-        feats = forward_with_compensation(T.constant(x[rows]), net, (),
-                                          0, 0, 0)
+        feats = forward_with_compensation(T.constant(x[rows]), net, None)
         u = head_forward(net, feats, np.zeros(feats.shape[0], dtype=np.int64),
                          with_sigma=with_sigma)
         preds[rows] = np.argmax(class_logits(net, u.mean.values), axis=1)
@@ -424,11 +423,15 @@ ABLATION_LADDER = [
 def class_count(train_ds: LabeledDataset, test_ds: LabeledDataset,
                 names=("train data", "test data")) -> int:
     """Classes the classifier needs: one row per class up to the largest
-    label of either dataset.  A count above the two datasets' rows only
-    allocates rows no sample can train, so it raises DataFormatError
-    naming the dataset, before anything is sized by it; a count below 2
-    leaves nothing to classify, so it raises DataFormatError naming
-    both."""
+    label of either dataset.  Checks the pair first, raising
+    DataFormatError naming the dataset at fault: a train set under 2
+    rows makes no train batch; a count above the two datasets' rows only
+    allocates rows no sample can train, so it raises before anything is
+    sized by it; a count below 2 leaves nothing to classify, so it
+    raises naming both."""
+    if len(train_ds) < 2:
+        raise DataFormatError(f"{names[0]}: {len(train_ds)} row(s), a train "
+                              "step needs at least 2 samples")
     rows = len(train_ds) + len(test_ds)
     for name, ds in zip(names, (train_ds, test_ds)):
         if ds.num_classes > rows:

@@ -166,7 +166,7 @@ def test_scoring_depends_only_on_checkpoint_and_data(data_dir, tmp_path,
     """eval and reject-curve take no settings, so a model trained with
     non-default ones scores exactly as its last metrics row says."""
     out = os.path.join(tmp_path, "run")
-    assert main(["train", "--out", out, "--compensation-layers", "2",
+    assert main(["train", "--out", out, "--compensation", "false",
                  "--mined-fraction", "0.5"]
                 + fast_args(data_dir)) == EXIT_OK
     history = read_csv_rows(os.path.join(out, "run_metrics.csv"))
@@ -283,7 +283,8 @@ def test_bad_config_key_exits_2(data_dir, tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     # keys an older config echo may carry fail the same way, by name
-    for key in ("compensation_batch_stats", "uncertainty_score", "sampler"):
+    for key in ("compensation_batch_stats", "uncertainty_score", "sampler",
+                "compensation_layers"):
         with open(bad, "w") as f:
             f.write(f"epochs = 2\n{key} = x\n")
         code = main(["train", "--out", os.path.join(tmp_path, "x"),
@@ -445,9 +446,28 @@ def _zero_width_embedding(blob):
     return blob
 
 
+def _set_buffer(blob, name, index, value):
+    entry = blob["params"][name]
+    arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").copy()
+    arr[index] = value
+    entry["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+    return blob
+
+
+def _nan_parameter(blob):
+    """One NaN in the classifier: argmax would pick its column."""
+    return _set_buffer(blob, "classifier", 5, np.nan)
+
+
+def _inf_parameter(blob):
+    """An all-inf sigma head: every sigma would read nan."""
+    return _set_buffer(blob, "sigma_w", slice(None), np.inf)
+
+
 @pytest.mark.parametrize("corrupt", [
     _list_payload, _no_arch, _arch_without_embed_dim, _non_base64_data,
-    _truncated_buffer, _oversized_grids, _zero_width_embedding],
+    _truncated_buffer, _oversized_grids, _zero_width_embedding,
+    _nan_parameter, _inf_parameter],
     ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_checkpoint_exits_4(data_dir, tmp_path, capsys, corrupt):
     path = os.path.join(tmp_path, "ck.json")
@@ -576,6 +596,25 @@ def test_single_class_data_exits_4(data_dir, tmp_path, capsys, command):
     assert (f"i/o error: {paths['train']} and {paths['test']}: labels "
             "imply 1 class(es)") in captured.err
     assert "at least 2" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_one_row_train_set_exits_4(data_dir, tmp_path, capsys, command):
+    """A 1-row train CSV makes no train batch; the run stops at load
+    with a data error naming the file."""
+    with open(data_dir["train"]) as f:
+        first = f.read().splitlines()[0]
+    one = os.path.join(tmp_path, "one.csv")
+    with open(one, "w") as f:
+        f.write(first + "\n")
+    out = os.path.join(tmp_path, "x")
+    assert main([command, "--out", out]
+                + fast_args(dict(data_dir, train=one))) == EXIT_IO
+    captured = capsys.readouterr()
+    assert (f"i/o error: {one}: 1 row(s), a train step needs at least 2 "
+            "samples") in captured.err
     assert captured.out == ""
     assert not os.path.exists(out)
 

@@ -19,9 +19,6 @@ from uqtrain.heads import build_vector_network
 from uqtrain.rng import STREAM_PERTURB, keyed_rng
 from uqtrain.stats import EPS_VAR, layer_stats
 
-ALL = (1, 2)
-
-
 def zero_draw(b, c):
     return PerturbationDraw(eps_mean=np.zeros((b, c)),
                             eps_std=np.zeros((b, c)))
@@ -150,20 +147,11 @@ def make_net():
                                 grids=((4, 2, 2), (4, 2, 2)), seed=0)
 
 
-def test_disabled_layers_match_plain_forward():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((5, 6))
-    net = make_net()
-    a = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
-    b = forward_with_compensation(T.constant(x), net, (), 5, 3, 2)
-    assert a.values.tobytes() == b.values.tobytes()
-
-
 def test_eval_mode_is_plain_forward_bitwise():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((4, 6))
     net = make_net()
-    a = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
+    a = forward_with_compensation(T.constant(x), net, None)
 
     h = T.constant(x)
     for block in net.blocks:
@@ -172,24 +160,24 @@ def test_eval_mode_is_plain_forward_bitwise():
 
 
 def test_single_enabled_layer_matches_manual_composition():
+    """A keyed forward compensates every block, block k with the noise
+    of (seed, epoch, batch_index, k)."""
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 6))
     net = make_net()
-    out = forward_with_compensation(T.constant(x), net, (2,),
-                                    seed=17, epoch=1, batch_index=4)
+    out = forward_with_compensation(T.constant(x), net, (17, 1, 4))
 
     h = T.constant(x)
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
-        if k == 2:
-            grid = feat.values.reshape(feat.shape[0], *block.grid)
-            st = layer_stats(T.constant(grid))
-            draw = draw_perturbation(feat.shape[0], block.grid[0],
-                                     seed=17, epoch=1,
-                                     batch_index=4, layer_index=2)
-            feat = compensate(feat, st, draw)
+        grid = feat.values.reshape(feat.shape[0], *block.grid)
+        st = layer_stats(T.constant(grid))
+        draw = draw_perturbation(feat.shape[0], block.grid[0],
+                                 seed=17, epoch=1,
+                                 batch_index=4, layer_index=k)
+        feat = compensate(feat, st, draw)
         h = T.relu(feat)
-    np.testing.assert_array_equal(out.values, h.values)
+    assert out.values.tobytes() == h.values.tobytes()
 
 
 def test_stats_shape_mismatch_rejected():

@@ -29,7 +29,7 @@ def test_defaults_carry_published_hyperparameters():
 
 def test_echo_parse_round_trip_is_exact():
     cfg = TrainConfig(seed=7, lr=0.00123, epochs=17,
-                      compensation_layers="2", hidden_grid="8x3x2",
+                      num_blocks=3, hidden_grid="8x3x2",
                       use_negative_branch=False)
     text = echo_config(cfg)
     back = parse_config_text(text)
@@ -105,8 +105,6 @@ def test_validate_rejects_bad_values():
         {"num_blocks": 0},
         {"hidden_grid": "16x2"},
         {"hidden_grid": "axbxc"},
-        {"compensation_layers": "0"},
-        {"compensation_layers": "soup"},
         {"data_train": "h#1/tr.csv"},
         {"data_test": "runs/\nte.csv"},
         {"data_train": " tr.csv"},
@@ -118,11 +116,7 @@ def test_validate_rejects_bad_values():
 
 
 def test_grid_and_layers_resolution():
-    cfg = TrainConfig(hidden_grid="8x4x2", compensation_layers="1,2")
-    assert cfg.parse_grid() == (8, 4, 2)
-    assert cfg.resolve_compensation_layers() == (1, 2)
-    assert TrainConfig(num_blocks=3).resolve_compensation_layers() \
-        == (1, 2, 3)
+    assert TrainConfig(hidden_grid="8x4x2").parse_grid() == (8, 4, 2)
 
 
 def test_hidden_grid_needs_spatial_extent():

@@ -201,6 +201,14 @@ def test_checkpoint_rejects_malformed_files(tmp_path):
     with pytest.raises(DataFormatError):
         load_checkpoint(p3)
 
+    # a buffer holding NaN or inf rebuilds, but would score NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        net.params["mean_b"].values[1] = bad
+        save_checkpoint(net, path)
+        with pytest.raises(DataFormatError,
+                           match="parameter mean_b holds NaN or inf"):
+            load_checkpoint(path)
+
 
 def test_parameters_follow_param_shapes():
     """The network holds exactly the parameters param_shapes lists, in its

@@ -637,7 +637,7 @@ def test_loss_stays_finite_across_twenty_seeds():
 
 def _whole_array_scores(net, x):
     """Predictions and scores from one forward over every row at once."""
-    feats = forward_with_compensation(T.constant(x), net, (), 0, 0, 0)
+    feats = forward_with_compensation(T.constant(x), net, None)
     u = head_forward(net, feats, np.zeros(len(x), dtype=np.int64))
     return (np.argmax(class_logits(net, u.mean.values), axis=1),
             uncertainty_score(u))
@@ -805,6 +805,18 @@ def test_single_class_pair_raises_a_data_error():
                        match="train data and test data: labels imply 1 "
                              "class"):
         run_experiment(small_config(epochs=1), train, test)
+
+
+def test_one_row_train_set_raises_a_data_error():
+    """A train set of 1 row makes no train batch; the library raises a
+    data error naming it before training, not the step's ContractError."""
+    train, test = small_data(seed=3)
+    one = replace(train, features=train.features[:1],
+                  labels=train.labels[:1])
+    with pytest.raises(DataFormatError,
+                       match=r"train data: 1 row\(s\), a train step needs "
+                             "at least 2 samples"):
+        run_experiment(small_config(epochs=1), one, test)
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
