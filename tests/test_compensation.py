@@ -147,6 +147,31 @@ def make_net():
                                 grids=((4, 2, 2), (4, 2, 2)), seed=0)
 
 
+def test_disabled_layers_match_plain_forward(monkeypatch):
+    """With no key the forward computes no statistics and draws no noise,
+    so it is the plain forward; a keyed forward on the same input is not."""
+    import uqtrain.compensation as comp
+
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, 6))
+    net = make_net()
+    keyed = forward_with_compensation(T.constant(x), net, (5, 3, 2))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the disabled forward touched compensation")
+
+    monkeypatch.setattr(comp, "layer_stats", forbidden)
+    monkeypatch.setattr(comp, "draw_perturbation", forbidden)
+    monkeypatch.setattr(comp, "compensate", forbidden)
+    a = forward_with_compensation(T.constant(x), net, None)
+
+    h = T.constant(x)
+    for block in net.blocks:
+        h = T.relu(block.apply(h))
+    assert a.values.tobytes() == h.values.tobytes()
+    assert keyed.values.tobytes() != h.values.tobytes()
+
+
 def test_eval_mode_is_plain_forward_bitwise():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((4, 6))
