@@ -7,7 +7,8 @@ tape.  Two affine heads follow: one predicts an embedding mean, the
 other a per-dimension sigma through softplus.  A bias-free classifier
 matrix maps embeddings to class logits.  Sigma is built only where it is
 read: by the train steps whose mixup blends partners, and by the scoring
-pass that ranks samples by it.
+pass that ranks samples by it.  The heads never see a label: a train
+step pairs their outputs with its labels in an UncertainBatch.
 
 Checkpoints are a single JSON file.  Parameter buffers are embedded as
 base64 little-endian float64 bytes, so save/load round-trips bitwise.
@@ -47,7 +48,8 @@ class DenseGridBlock:
 
 @dataclass
 class UncertainBatch:
-    """Head outputs for one batch: embedding means, sigmas, and labels."""
+    """One train step's batch as the miner and the losses read it: the
+    head outputs and the labels step_loss attaches to them."""
 
     mean: T.DiffArray            # (B, d)
     sigma: T.DiffArray | None    # (B, d), strictly positive; None if unbuilt
@@ -78,30 +80,26 @@ class Network:
         return {name for name in self.params if not name.startswith("block")}
 
 
-def head_forward(net: Network, feats: T.DiffArray, labels: np.ndarray,
-                 with_sigma: bool = True) -> UncertainBatch:
-    """Map flat (B, feature_dim) activations to means and, unless
-    with_sigma is False, sigmas."""
+def head_forward(net: Network, feats: T.DiffArray, with_sigma: bool = True
+                 ) -> tuple[T.DiffArray, T.DiffArray | None]:
+    """Map flat (B, feature_dim) activations to (means, sigmas); sigmas
+    is None when with_sigma is False."""
     mean = T.affine(feats, net.mean_w, net.mean_b)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (feats.shape[0],):
-        raise ContractError(f"labels shape {labels.shape} does not match "
-                            f"batch {feats.shape[0]}")
     sigma = None
     if with_sigma:
         sigma = T.softplus(T.affine(feats, net.sigma_w, net.sigma_b),
                            SIGMA_FLOOR)
-    return UncertainBatch(mean=mean, sigma=sigma, labels=labels)
+    return mean, sigma
 
 
 def class_logits(net: Network, embeddings: np.ndarray) -> np.ndarray:
     return embeddings @ net.classifier.values.T
 
 
-def uncertainty_score(u: UncertainBatch) -> np.ndarray:
+def uncertainty_score(sigma: T.DiffArray) -> np.ndarray:
     """Scalar uncertainty per sample, used for ranking at evaluation:
     sigma averaged over the embedding dimensions."""
-    return u.sigma.values.mean(axis=1)
+    return sigma.values.mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +136,8 @@ def param_shapes(arch: dict) -> list[tuple[str, tuple]]:
                      ("classifier", (num_classes, embed_dim))]
 
 
-def build_vector_network(input_dim: int, num_classes: int,
-                         embed_dim: int = 64,
-                         grids=((16, 2, 2), (16, 2, 2)),
-                         seed: int = 0) -> Network:
+def build_vector_network(input_dim: int, num_classes: int, embed_dim: int,
+                         grids, seed: int = 0) -> Network:
     """Backbone for flat feature vectors: affine blocks read as grids.
     Block i draws from (seed, INIT, i), the heads from (seed, INIT, 100)."""
     arch = {"family": "vector", "input_dim": int(input_dim),

@@ -9,6 +9,8 @@ makes whole training runs bitwise reproducible.
 
 import numpy as np
 
+from .errors import ContractError
+
 # Stream tags.  Keep these stable: they are part of the reproducibility
 # contract baked into checkpoints and experiment outputs.
 STREAM_DATA = 1      # dataset synthesis and label corruption
@@ -25,11 +27,11 @@ def keyed_rng(seed: int, stream: int, *coords: int) -> np.random.Generator:
     epoch, batch index, layer index).  Missing positions are zero.
     """
     if len(coords) > 3:
-        raise ValueError("at most three stream coordinates are supported")
+        raise ContractError("at most three stream coordinates are supported")
     words = [int(stream)] + [int(c) for c in coords]
     words += [0] * (4 - len(words))
     if any(w < 0 for w in words):
-        raise ValueError("stream coordinates must be non-negative")
+        raise ContractError("stream coordinates must be non-negative")
     bg = np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1)),
                           counter=[np.uint64(w) for w in words])
     return np.random.Generator(bg)

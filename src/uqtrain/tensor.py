@@ -7,6 +7,9 @@ nodes that produced its inputs, replaying the list in reverse visits the
 graph in reverse topological order, and a single sweep accumulates exact
 gradients into every leaf.
 
+The sweep only adds into .grad: whoever reads gradients clears them
+before it, and reads a grad of None (an array not reached) as zero.
+
 Each step of the model is one op with a closed-form backward: affine
 (x @ w + b) for a backbone block or a head, relu, softplus (with an
 optional floor) for sigma, perturb_stats for a compensated layer,
@@ -136,23 +139,18 @@ def _fresh(contrib, g, adopted) -> bool:
 
 
 def backward(loss: DiffArray, tape: Tape) -> None:
-    """Accumulate d loss / d leaf into .grad for everything on the tape.
+    """Add d loss / d array into .grad for every array the loss reaches.
 
-    loss must be a scalar (shape ()).  Gradients from any previous sweep
-    over the same arrays are cleared first, so optimizer steps never see
-    stale accumulation.  Leaves the loss does not depend on end up with
-    zero gradients rather than None.
+    loss must be a scalar (shape ()).  The sweep only adds: a grad left
+    in place is added onto, and an array the loss does not reach keeps
+    the grad it had, None on a fresh one.  So a caller clears the leaves
+    it will read before the sweep, and a reader takes None as zero.
+    Sweep a tape once: a second sweep would add onto the gradients its
+    intermediate arrays kept from the first.
     """
     if loss.values.shape != ():
         raise ContractError("backward needs a scalar loss, got shape "
                             f"{loss.values.shape}")
-
-    seen: dict[int, DiffArray] = {}
-    for node in tape.nodes:
-        for arr in (node.out, *node.inputs):
-            if id(arr) not in seen:
-                seen[id(arr)] = arr
-                arr.grad = None
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(tape.nodes):
@@ -171,10 +169,6 @@ def backward(loss: DiffArray, tape: Tape) -> None:
                 adopted.append(contrib)
             else:
                 inp.grad = np.array(contrib, order="C")
-
-    for arr in seen.values():
-        if arr.requires_grad and arr.grad is None:
-            arr.grad = np.zeros_like(arr.values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import ContractError, DataFormatError, NumericalDivergence
 from .files import write_csv
 from .heads import (
     Network,
+    UncertainBatch,
     build_vector_network,
     class_logits,
     head_forward,
@@ -43,7 +44,8 @@ class Adam:
     The step is the standard bias-corrected update; decay then shrinks
     the parameters directly (params *= 1 - lr * weight_decay) instead of
     entering the gradient.  Biases and other 1-d parameters are never
-    decayed.  A parameter whose grad is None steps with a zero gradient.
+    decayed.  Adam reads gradients and never resets them (train_step
+    does); a parameter whose grad is None steps with a zero gradient.
 
     The moments m and v are two flat float64 vectors over all parameters
     in named_params order; slices[i] is parameter i's part of them.  A
@@ -205,7 +207,8 @@ def step_loss(net: Network, x: np.ndarray, labels: np.ndarray,
     feats = forward_with_compensation(
         T.constant(x), net,
         (cfg.seed, epoch, batch_index) if cfg.compensation else None)
-    u = head_forward(net, feats, labels, with_sigma=partners)
+    mean, sigma = head_forward(net, feats, with_sigma=partners)
+    u = UncertainBatch(mean, sigma, labels=np.asarray(labels, dtype=np.int64))
 
     if not partners:
         plan = None
@@ -215,7 +218,7 @@ def step_loss(net: Network, x: np.ndarray, labels: np.ndarray,
 
     mixed = mixup(u, plan, include_pos=cfg.use_positive_branch,
                   include_neg=cfg.use_negative_branch)
-    ce = ce_loss(mixed.features, net.classifier, labels, plan,
+    ce = ce_loss(mixed.features, net.classifier, u.labels, plan,
                  include_pos=cfg.use_positive_branch,
                  include_neg=cfg.use_negative_branch)
 
@@ -242,8 +245,8 @@ def train_step(net: Network, x: np.ndarray, labels: np.ndarray,
         raise NumericalDivergence(
             f"loss became {float(breakdown.total.values)} at epoch {epoch} "
             f"step {batch_index}")
-    # backward sets the gradients of what is on the tape; a parameter off
-    # it must step with a zero gradient, not one left by an earlier step
+    # backward only adds, so the step owns the reset: a parameter the
+    # loss does not reach keeps None, which Adam reads as zero
     for _, p in net.parameters():
         p.grad = None
     T.backward(breakdown.total, tape)
@@ -283,11 +286,10 @@ def _forward(net: Network, x: np.ndarray, with_sigma: bool):
     scores = np.empty(n) if with_sigma else None
     for rows in row_blocks(n, SCORE_BLOCK_ROWS):
         feats = forward_with_compensation(T.constant(x[rows]), net, None)
-        u = head_forward(net, feats, np.zeros(feats.shape[0], dtype=np.int64),
-                         with_sigma=with_sigma)
-        preds[rows] = np.argmax(class_logits(net, u.mean.values), axis=1)
+        mean, sigma = head_forward(net, feats, with_sigma=with_sigma)
+        preds[rows] = np.argmax(class_logits(net, mean.values), axis=1)
         if with_sigma:
-            scores[rows] = uncertainty_score(u)
+            scores[rows] = uncertainty_score(sigma)
     return preds, scores
 
 

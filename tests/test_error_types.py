@@ -5,6 +5,11 @@ unused-import and tape-op inventories)."""
 import ast
 import os
 
+import pytest
+
+from uqtrain.errors import ContractError
+from uqtrain.rng import STREAM_MINE, keyed_rng
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                    "src", "uqtrain")
 
@@ -47,3 +52,12 @@ def test_every_error_type_is_raised_or_caught():
                      "NumericalDivergence", "GenerationError",
                      "DataFormatError"}
     assert types - used == set()
+
+
+@pytest.mark.parametrize("coords, message", [
+    ((1, 2, 3, 4), "at most three stream coordinates are supported"),
+    ((1, -2), "stream coordinates must be non-negative")],
+    ids=["four-coordinates", "negative"])
+def test_keyed_rng_raises_a_contract_error(coords, message):
+    with pytest.raises(ContractError, match=message):
+        keyed_rng(0, STREAM_MINE, *coords)

@@ -31,9 +31,9 @@ def test_zero_sigma_branch_gives_softplus_of_zero():
     net.sigma_w.values[:] = 0.0
     net.sigma_b.values[:] = 0.0
     feats = T.constant(np.random.default_rng(0).standard_normal((5, 16)))
-    u = head_forward(net, feats, np.zeros(5, dtype=np.int64))
+    _, sigma = head_forward(net, feats)
     expect = np.log(2.0) + SIGMA_FLOOR
-    np.testing.assert_allclose(u.sigma.values, expect, atol=1e-12)
+    np.testing.assert_allclose(sigma.values, expect, atol=1e-12)
 
 
 def test_zero_mean_weights_give_constant_bias_rows():
@@ -41,8 +41,8 @@ def test_zero_mean_weights_give_constant_bias_rows():
     net.mean_w.values[:] = 0.0
     net.mean_b.values[:] = np.arange(8.0)
     feats = T.constant(np.random.default_rng(1).standard_normal((4, 16)))
-    u = head_forward(net, feats, np.zeros(4, dtype=np.int64))
-    for row in u.mean.values:
+    mean, _ = head_forward(net, feats)
+    for row in mean.values:
         np.testing.assert_allclose(row, np.arange(8.0), atol=1e-12)
 
 
@@ -50,9 +50,9 @@ def test_sigma_strictly_positive():
     net = make_net()
     net.sigma_b.values[:] = -50.0      # drive softplus toward zero
     feats = T.constant(np.zeros((3, 16)))
-    u = head_forward(net, feats, np.zeros(3, dtype=np.int64))
-    assert np.all(u.sigma.values > 0)
-    np.testing.assert_allclose(u.sigma.values, SIGMA_FLOOR, rtol=1e-6)
+    _, sigma = head_forward(net, feats)
+    assert np.all(sigma.values > 0)
+    np.testing.assert_allclose(sigma.values, SIGMA_FLOOR, rtol=1e-6)
 
 
 def test_head_gradients_match_fd():
@@ -65,29 +65,27 @@ def test_head_gradients_match_fd():
         probe = make_net()
         probe.mean_w, probe.mean_b = ars[1], ars[2]
         probe.sigma_w, probe.sigma_b = ars[3], ars[4]
-        u = head_forward(probe, ars[0], np.zeros(4, dtype=np.int64))
-        ones = np.ones(u.mean.shape)
-        return T.add(weighted_sum(u.mean, ones), weighted_sum(u.sigma, ones))
+        mean, sigma = head_forward(probe, ars[0])
+        ones = np.ones(mean.shape)
+        return T.add(weighted_sum(mean, ones), weighted_sum(sigma, ones))
 
     assert T.check_gradients(f, arrays) < 1e-4
 
 
 def test_uncertainty_score_mean_and_max():
     net = make_net()
-    u = head_forward(net, T.constant(np.zeros((2, 16))),
-                     np.zeros(2, dtype=np.int64))
-    u.sigma.values[:] = [[1.0, 3.0] + [2.0] * 6, [4.0] * 8]
-    np.testing.assert_allclose(uncertainty_score(u),
+    _, sigma = head_forward(net, T.constant(np.zeros((2, 16))))
+    sigma.values[:] = [[1.0, 3.0] + [2.0] * 6, [4.0] * 8]
+    np.testing.assert_allclose(uncertainty_score(sigma),
                                [np.mean([1, 3] + [2] * 6), 4.0])
 
 
 def test_score_ranking_matches_sort_oracle():
     rng = np.random.default_rng(3)
     net = make_net()
-    u = head_forward(net, T.constant(rng.standard_normal((10, 16))),
-                     np.zeros(10, dtype=np.int64))
-    scores = uncertainty_score(u)
-    oracle = np.array([row.mean() for row in u.sigma.values])
+    _, sigma = head_forward(net, T.constant(rng.standard_normal((10, 16))))
+    scores = uncertainty_score(sigma)
+    oracle = np.array([row.mean() for row in sigma.values])
     assert list(np.argsort(scores)) == list(np.argsort(oracle))
 
 
@@ -96,12 +94,7 @@ def test_head_forward_shape_errors():
     with pytest.raises(ContractError,
                        match=r"affine: \(2, 5\) @ \(16, 8\) \+ \(8,\) does "
                              r"not fit"):
-        head_forward(net, T.constant(np.zeros((2, 5))),
-                     np.zeros(2, dtype=np.int64))
-    with pytest.raises(ContractError,
-                       match=r"labels shape \(3,\) does not match batch 2"):
-        head_forward(net, T.constant(np.zeros((2, 16))),
-                     np.zeros(3, dtype=np.int64))
+        head_forward(net, T.constant(np.zeros((2, 5))))
 
 
 def test_builders_are_seed_deterministic():
@@ -164,11 +157,10 @@ def test_checkpoint_rebuilds_from_arch(tmp_path):
         h = T.constant(x)
         for block in n.blocks:
             h = T.relu(block.apply(h))
-        return head_forward(n, h, np.zeros(2, dtype=np.int64))
+        return head_forward(n, h)
 
-    a, b = forward(loaded), forward(net)
-    assert a.mean.values.tobytes() == b.mean.values.tobytes()
-    assert a.sigma.values.tobytes() == b.sigma.values.tobytes()
+    for a, b in zip(forward(loaded), forward(net)):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_checkpoint_rejects_malformed_files(tmp_path):

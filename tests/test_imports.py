@@ -1,5 +1,6 @@
 """Every module reads each name it imports (a stdlib stand-in for a
-linter's unused-import rule)."""
+linter's unused-import rule), and every module parses as Python 3.10,
+the floor pyproject.toml's requires-python states."""
 
 import ast
 import os
@@ -8,8 +9,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DIRS = ("src/uqtrain", "tests", "demos")
 
 
-def python_files(root=ROOT):
-    for d in DIRS:
+def python_files(root=ROOT, dirs=DIRS):
+    for d in dirs:
         folder = os.path.join(root, d)
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py"):
@@ -37,3 +38,11 @@ def test_every_import_is_read():
               for path in python_files()
               if (names := unused_imports(path))}
     assert unused == {}
+
+
+def test_every_module_parses_as_python_3_10():
+    """ast's feature_version rejects grammar newer than 3.10, such as
+    except*, whatever Python runs the test."""
+    for path in python_files(dirs=DIRS + ("scripts", "bench")):
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))

@@ -146,14 +146,20 @@ def test_grad_accumulates_when_node_reused():
     np.testing.assert_allclose(x.grad, [12.0])
 
 
-def test_untouched_parameter_gets_zero_grad():
+def test_backward_only_adds_into_grad():
+    """The sweep clears nothing and fills in nothing: a leaf the loss
+    does not reach keeps grad None, even when another node on the tape
+    reads it, and a second sweep adds onto the gradient the caller left
+    in place."""
     x = T.parameter(np.array([1.0, 2.0]))
     unused = T.parameter(np.array([5.0]))
-    with T.Tape() as tape:
-        loss = weighted_sum(x, np.ones(2))
-        _ = T.add(unused, unused)
-    T.backward(loss, tape)
-    np.testing.assert_array_equal(unused.grad, [0.0])
+    for sweep in (1, 2):
+        with T.Tape() as tape:
+            loss = weighted_sum(x, np.array([3.0, 4.0]))
+            _ = T.add(unused, unused)
+        T.backward(loss, tape)
+        assert unused.grad is None
+        np.testing.assert_array_equal(x.grad, [3.0 * sweep, 4.0 * sweep])
 
 
 def test_check_gradients_treats_an_unreached_input_as_zero_gradient():

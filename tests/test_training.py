@@ -333,6 +333,19 @@ def test_train_step_rejects_tiny_batches():
                    cfg, opt, 0, 0)
 
 
+@pytest.mark.parametrize("tag", ["baseline", "full"])
+def test_step_rejects_labels_of_another_batch_size(tag):
+    """The head never sees labels; the step's consumers of them check
+    their shape: ce_loss on the baseline rung, mine_triplets first on
+    the full method."""
+    cfg = replace(small_config(), **dict(ABLATION_LADDER)[tag])
+    net = build_vector_network(6, 3, 8, [(4, 2, 2)] * 2, seed=0)
+    with pytest.raises(ContractError,
+                       match=r"labels shape \(3,\) does not match batch 2"):
+        training.step_loss(net, np.zeros((2, 6)), np.zeros(3, dtype=np.int64),
+                           cfg, 0, 0)
+
+
 def test_degraded_step_equals_hand_built_plain_ce_baseline(monkeypatch):
     """With every mechanism disabled, one train_step must match an
     independently composed plain classifier step parameter for
@@ -422,8 +435,8 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     real_head, real_backward = training.head_forward, T.backward
 
     def spy_head(*args, **kwargs):
-        seen["u"] = real_head(*args, **kwargs)
-        return seen["u"]
+        seen["head"] = real_head(*args, **kwargs)
+        return seen["head"]
 
     def spy_backward(loss, tape):
         ops = [n.backward.__qualname__.split(".", 1)[0] for n in tape.nodes]
@@ -447,7 +460,7 @@ def test_every_tape_node_gets_a_gradient(monkeypatch, tag, overrides):
     assert seen["ops"] == OPS_PER_STEP[tag]
     assert seen["dead"] == []
     partners = cfg.use_positive_branch or cfg.use_negative_branch
-    assert (seen["u"].sigma is not None) == partners
+    assert (seen["head"][1] is not None) == partners
 
 
 def test_full_step_gradients_own_their_memory(monkeypatch):
@@ -638,9 +651,9 @@ def test_loss_stays_finite_across_twenty_seeds():
 def _whole_array_scores(net, x):
     """Predictions and scores from one forward over every row at once."""
     feats = forward_with_compensation(T.constant(x), net, None)
-    u = head_forward(net, feats, np.zeros(len(x), dtype=np.int64))
-    return (np.argmax(class_logits(net, u.mean.values), axis=1),
-            uncertainty_score(u))
+    mean, sigma = head_forward(net, feats)
+    return (np.argmax(class_logits(net, mean.values), axis=1),
+            uncertainty_score(sigma))
 
 
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
