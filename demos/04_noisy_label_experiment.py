@@ -38,8 +38,12 @@ def main():
     plain_ce = replace(cfg, compensation=False, use_positive_branch=False,
                        use_negative_branch=False, use_triplet_term=False)
     baseline = run_experiment(plain_ce, noisy, test)
+    # the per-epoch test accuracy is in the history: no extra pass
+    best = max(baseline.history, key=lambda row: row["test_acc"])
     print(f"plain cross-entropy baseline:  "
-          f"test accuracy {baseline.report.accuracy:.4f}")
+          f"test accuracy {baseline.report.accuracy:.4f} "
+          f"(best {best['test_acc']:.4f}, after epoch {best['epoch'] + 1} "
+          f"of {args.epochs})")
 
     full = run_experiment(cfg, noisy, test)
     print(f"full method:                   "

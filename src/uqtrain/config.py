@@ -74,6 +74,15 @@ class TrainConfig:
             raise ConfigError("embed_dim must be positive")
         if self.num_blocks < 1:
             raise ConfigError("num_blocks must be at least 1")
+        # the triplet term belongs to the full method, with both partner
+        # branches on; any other setting would echo a term that never ran
+        off = [key for key in ("use_positive_branch", "use_negative_branch")
+               if not getattr(self, key)]
+        if self.use_triplet_term and off:
+            raise ConfigError(
+                "use_triplet_term needs both partner branches, got "
+                + ", ".join(f"{key} = false" for key in off)
+                + "; set use_triplet_term false")
         for key in ("data_train", "data_test"):
             path = getattr(self, key)
             # the config echo must parse back to the same path

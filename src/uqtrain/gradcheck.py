@@ -173,7 +173,7 @@ def end_to_end_case(seed: int, **switches):
                                grids=((3, 2, 2), (3, 2, 2)), seed=seed)
     x = rng.standard_normal((6, 4))
     labels = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-    cfg = TrainConfig(seed=seed, mined_fraction=0.5, **switches)
+    cfg = TrainConfig(seed=seed, mined_fraction=0.5, **switches).validate()
     _, plan = step_loss(net, x, labels, cfg, 0, 0)
     return ((lambda ars: step_loss(net, x, labels, cfg, 0, 0, plan)[0].total),
             [p for _, p in net.parameters()])

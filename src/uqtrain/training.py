@@ -16,7 +16,12 @@ from . import tensor as T
 from .compensation import forward_with_compensation
 from .config import TrainConfig, write_config_echo
 from .data import LabeledDataset
-from .errors import ContractError, DataFormatError, NumericalDivergence
+from .errors import (
+    ConfigError,
+    ContractError,
+    DataFormatError,
+    NumericalDivergence,
+)
 from .files import write_csv
 from .heads import (
     Network,
@@ -198,9 +203,10 @@ def step_loss(net: Network, x: np.ndarray, labels: np.ndarray,
               cfg: TrainConfig, epoch: int, batch_index: int,
               plan: TripletPlan | None = None
               ) -> tuple[LossBreakdown, TripletPlan | None]:
-    """The training objective of one batch, as the four switches of cfg
-    compose it; returns (breakdown, plan).  A given plan replaces the
-    mined one; without a partner branch there is no plan at all."""
+    """The training objective of one batch, as the four switches of a
+    validated cfg compose it; returns (breakdown, plan).  A given plan
+    replaces the mined one; without a partner branch there is no plan at
+    all."""
     # only the partner blend reads sigma, so a step without a partner
     # branch builds no sigma head
     partners = cfg.use_positive_branch or cfg.use_negative_branch
@@ -222,8 +228,7 @@ def step_loss(net: Network, x: np.ndarray, labels: np.ndarray,
                  include_pos=cfg.use_positive_branch,
                  include_neg=cfg.use_negative_branch)
 
-    if (cfg.use_triplet_term and cfg.use_positive_branch
-            and cfg.use_negative_branch):
+    if cfg.use_triplet_term:
         tl = triplet_loss(u, plan, cfg.margin)
     else:
         tl = T.constant(0.0)
@@ -387,17 +392,23 @@ def fit(net: Network, train_ds: LabeledDataset, test_ds: LabeledDataset,
     history = []
     step = 0
     test_report = None
-    for epoch in range(cfg.epochs):
-        last = None
-        for bidx, batch in enumerate(make_batches(train_ds.labels, cfg,
-                                                  epoch)):
-            last = train_step(net, train_ds.features[batch],
-                              train_ds.labels[batch], cfg, opt, epoch, bidx)
-            step += 1
-        train_acc = accuracy(net, train_ds)
-        test_report = evaluate(net, test_ds)
-        history.append(_metrics_row(epoch, step, last.scalars(), train_acc,
-                                    test_report))
+    # a diverging run overflows, and subtracts inf from inf, before its
+    # loss or a gradient turns non-finite, and numpy would warn of each on
+    # stderr; the isfinite checks of train_step and Adam decide exit 3,
+    # so the warnings would only stand before its one documented line
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            last = None
+            for bidx, batch in enumerate(make_batches(train_ds.labels, cfg,
+                                                      epoch)):
+                last = train_step(net, train_ds.features[batch],
+                                  train_ds.labels[batch], cfg, opt, epoch,
+                                  bidx)
+                step += 1
+            train_acc = accuracy(net, train_ds)
+            test_report = evaluate(net, test_ds)
+            history.append(_metrics_row(epoch, step, last.scalars(),
+                                        train_acc, test_report))
     return TrainResult(net=net, report=test_report, history=history)
 
 
@@ -449,6 +460,41 @@ def class_count(train_ds: LabeledDataset, test_ds: LabeledDataset,
     return count
 
 
+# the most float64 values the network's parameters, or one batch's widest
+# activation, may hold: 2**26, 512 MiB.  Adam keeps six more vectors the
+# size of the parameters and a step a few dozen activations, so a run at
+# the bound already takes gigabytes; far above it, the initial draw fails
+# to allocate or the first epoch never ends
+MAX_MODEL_VALUES = 1 << 26
+
+
+def check_model_size(cfg: TrainConfig, input_dim: int, num_classes: int,
+                     rows: int) -> int:
+    """Refuse, before anything is allocated, an architecture whose
+    parameters or largest per-batch activation pass MAX_MODEL_VALUES,
+    raising ConfigError naming the field whose term does; rows is the
+    most rows a train batch or scoring block can hold.  Returns the
+    parameter count.  The counts are arithmetic on the config: the list
+    of grids or shapes of 10**11 blocks alone would not fit in memory."""
+    c, h, w = cfg.parse_grid()
+    grid, embed = c * h * w, cfg.embed_dim
+    first = (input_dim + 1) * grid
+    block = (grid + 1) * grid
+    heads = (2 * grid + 2 + num_classes) * embed
+    total = first + (cfg.num_blocks - 1) * block + heads
+    for key, what, count in (
+            ("hidden_grid", "a block's activations", rows * grid),
+            ("embed_dim", "a head's activations", rows * embed),
+            ("hidden_grid", "one block's parameters", max(first, block)),
+            ("embed_dim", "the heads' parameters", heads),
+            ("num_blocks", "the network's parameters", total)):
+        if count > MAX_MODEL_VALUES:
+            raise ConfigError(
+                f"{key} = {getattr(cfg, key)}: {what} would hold {count} "
+                f"values, more than the bound of {MAX_MODEL_VALUES}")
+    return total
+
+
 def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
                    test_ds: LabeledDataset, out_dir: str | None = None,
                    tag: str = "run") -> TrainResult:
@@ -460,8 +506,11 @@ def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
         raise DataFormatError(f"test data has {test_width} feature columns, "
                               f"train data has {width}")
 
-    net = build_vector_network(width, class_count(train_ds, test_ds),
-                               cfg.embed_dim,
+    classes = class_count(train_ds, test_ds)
+    check_model_size(cfg, width, classes,
+                     min(max(cfg.batch_size, SCORE_BLOCK_ROWS),
+                         max(len(train_ds), len(test_ds))))
+    net = build_vector_network(width, classes, cfg.embed_dim,
                                [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
     result = fit(net, train_ds, test_ds, cfg)
 

@@ -8,6 +8,8 @@ import platform
 import subprocess
 import sys
 import textwrap
+import time
+import warnings
 from inspect import getmembers, isclass
 from types import SimpleNamespace
 
@@ -21,6 +23,7 @@ from uqtrain.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from uqtrain.data import LabeledDataset, load_dataset, save_dataset
 from uqtrain.heads import (build_vector_network, load_checkpoint,
                            save_checkpoint)
+from uqtrain.training import MAX_MODEL_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -294,11 +297,57 @@ def test_bad_config_key_exits_2(data_dir, tmp_path, capsys):
 
 
 def test_divergent_run_exits_3(data_dir, tmp_path, capsys):
-    with np.errstate(all="ignore"):
-        code = main(["train", "--out", os.path.join(tmp_path, "x"),
-                     "--lr", "1e200"] + fast_args(data_dir))
+    """Exit 3 prints its one documented line: numpy warns of no overflow
+    on the way to the non-finite loss."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--out", os.path.join(tmp_path, "x")]
+                    + fast_args(data_dir) + ["--lr", "1e150",
+                                             "--epochs", "3"])
     assert code == EXIT_DIVERGED
-    assert "numerical divergence" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical divergence: loss became nan")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pos, neg", [("false", "true"), ("true", "false"),
+                                      ("false", "false")])
+def test_triplet_term_without_a_branch_exits_2(data_dir, tmp_path, capsys,
+                                                pos, neg):
+    code = main(["train", "--out", os.path.join(tmp_path, "x")]
+                + fast_args(data_dir) + ["--use-positive-branch", pos,
+                                         "--use-negative-branch", neg])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    off = [f"use_{side}_branch = false"
+           for side, value in (("positive", pos), ("negative", neg))
+           if value == "false"]
+    assert err == ("config error: use_triplet_term needs both partner "
+                   f"branches, got {', '.join(off)}; set use_triplet_term "
+                   "false\n")
+    assert not os.path.exists(os.path.join(tmp_path, "x"))
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--embed-dim", "100000000000000000000", "embed_dim"),
+    ("--hidden-grid", "100000000000000000x2x2", "hidden_grid"),
+    ("--embed-dim", "3000000000", "embed_dim"),
+    ("--num-blocks", "100000000000", "num_blocks")])
+def test_oversized_architecture_exits_2_before_allocating(
+        data_dir, tmp_path, capsys, flag, value, key):
+    """The size bound is arithmetic on the config: no network, list of
+    grids or parameter array is built, so each refusal takes
+    milliseconds and prints one line."""
+    start = time.perf_counter()
+    code = main(["train", "--out", os.path.join(tmp_path, "x")]
+                + fast_args(data_dir) + [flag, value])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} = {value}: ")
+    assert f"bound of {MAX_MODEL_VALUES}\n" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

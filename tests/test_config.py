@@ -30,7 +30,7 @@ def test_defaults_carry_published_hyperparameters():
 def test_echo_parse_round_trip_is_exact():
     cfg = TrainConfig(seed=7, lr=0.00123, epochs=17,
                       num_blocks=3, hidden_grid="8x3x2",
-                      use_negative_branch=False)
+                      use_negative_branch=False, use_triplet_term=False)
     text = echo_config(cfg)
     back = parse_config_text(text)
     assert back == cfg
@@ -109,6 +109,8 @@ def test_validate_rejects_bad_values():
         {"data_test": "runs/\nte.csv"},
         {"data_train": " tr.csv"},
         {"data_test": "te.csv "},
+        {"use_positive_branch": False},
+        {"use_negative_branch": False},
     ]
     for kw in bad:
         with pytest.raises(ConfigError, match=next(iter(kw))):

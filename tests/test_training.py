@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import itertools
 import os
 import tracemalloc
 from collections import Counter
@@ -15,7 +16,12 @@ from uqtrain import config, gradcheck, training
 from uqtrain.compensation import forward_with_compensation
 from uqtrain.config import TrainConfig
 from uqtrain.data import LabeledDataset, make_blobs, split_dataset
-from uqtrain.errors import ContractError, DataFormatError, NumericalDivergence
+from uqtrain.errors import (
+    ConfigError,
+    ContractError,
+    DataFormatError,
+    NumericalDivergence,
+)
 from uqtrain.heads import (
     build_vector_network,
     class_logits,
@@ -860,6 +866,70 @@ def test_ablation_ladder_covers_baseline_to_full():
     assert names[-1] == "full"
     assert not any(ABLATION_LADDER[0][1].values())
     assert all(ABLATION_LADDER[-1][1].values())
+
+
+SETTINGS = [dict(zip(sorted(SWITCHES), bits))
+            for bits in itertools.product((False, True), repeat=4)]
+
+
+@pytest.mark.parametrize("switches", SETTINGS, ids=[
+    "-".join(k for k, on in sw.items() if on) or "none" for sw in SETTINGS])
+def test_every_switch_setting_has_one_meaning(switches):
+    """The six settings whose triplet term would not run are refused,
+    naming it and each branch that is off; each of the other ten trains
+    a step whose triplet loss is 0.0 exactly when the term is off, and
+    its config echo gives the setting back."""
+    cfg = small_config(**switches)
+    off = [k for k in ("use_positive_branch", "use_negative_branch")
+           if not switches[k]]
+    if switches["use_triplet_term"] and off:
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert all(k in str(err.value)
+                   for k in ["use_triplet_term", *off]), err.value
+        return
+    cfg.validate()
+    ds = make_blobs(3, 6, 24, 1.0, seed=0)
+    net = build_vector_network(6, 3, cfg.embed_dim,
+                               [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
+    _, _, loss_triplet = train_step(net, ds.features, ds.labels, cfg,
+                                    Adam(net.parameters()), 0,
+                                    0).scalars()
+    assert (loss_triplet == 0.0) == (not switches["use_triplet_term"])
+    assert config.parse_config_text(config.echo_config(cfg)) == cfg
+
+
+def test_model_size_counts_every_parameter():
+    """check_model_size's arithmetic count is the parameter count of the
+    network the same settings build."""
+    for grid, blocks, embed, width, classes in [
+            ("16x2x2", 2, 64, 10, 4), ("3x2x1", 1, 5, 7, 2),
+            ("4x3x2", 3, 2, 1, 9)]:
+        cfg = small_config(hidden_grid=grid, num_blocks=blocks,
+                           embed_dim=embed)
+        net = build_vector_network(width, classes, embed,
+                                   [cfg.parse_grid()] * blocks)
+        assert training.check_model_size(cfg, width, classes, 128) == sum(
+            p.values.size for _, p in net.parameters())
+
+
+@pytest.mark.parametrize("override, key, what", [
+    (dict(hidden_grid="100000000000000000x2x2"), "hidden_grid",
+     "a block's activations"),
+    (dict(hidden_grid="2048x2x2", embed_dim=1), "hidden_grid",
+     "one block's parameters"),
+    (dict(embed_dim=3_000_000_000), "embed_dim", "a head's activations"),
+    (dict(hidden_grid="64x4x4", embed_dim=40_000), "embed_dim",
+     "the heads' parameters"),
+    (dict(num_blocks=100_000_000_000), "num_blocks",
+     "the network's parameters")])
+def test_model_size_bound_names_the_field_past_it(override, key, what):
+    cfg = small_config(**override)
+    with pytest.raises(ConfigError,
+                       match=f"^{key} = {getattr(cfg, key)}: {what} would "
+                             f"hold [0-9]+ values, more than the bound of "
+                             f"{training.MAX_MODEL_VALUES}$"):
+        training.check_model_size(cfg, 10, 4, 128)
 
 
 def test_fit_trains_above_chance_on_clean_blobs():
