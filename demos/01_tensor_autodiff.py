@@ -57,7 +57,7 @@ def grid_statistics():
 
     def f(arrays):
         flat = block.apply(x)
-        grid = T.constant(flat.values.reshape(4, *block.grid))
+        grid = flat.values.reshape(4, *block.grid)
         return weighted_sum(compensate(flat, layer_stats(grid), draw), w)
 
     with T.Tape() as tape:

@@ -21,14 +21,14 @@ def main():
     x = rng.standard_normal((4, 3, 6, 6)) * np.array(
         [0.5, 1.0, 2.0, 4.0])[:, None, None, None]
     feat = T.constant(x)
-    st = layer_stats(feat)
+    st = layer_stats(x)
 
     print("instance stds by sample (rows) and channel (cols):")
-    print(np.round(st.instance_std.values, 3))
+    print(np.round(st.instance_std, 3))
     print(f"spread of the means across the batch:  "
-          f"{np.round(st.std_of_means.values, 3)}")
+          f"{np.round(st.std_of_means, 3)}")
     print(f"spread of the stds across the batch:   "
-          f"{np.round(st.std_of_stds.values, 3)}")
+          f"{np.round(st.std_of_stds, 3)}")
 
     zero = PerturbationDraw(eps_mean=np.zeros((4, 3)),
                             eps_std=np.zeros((4, 3)))

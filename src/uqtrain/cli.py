@@ -132,7 +132,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _build_config(args)
     train_ds, test_ds = _load_pair(cfg)
-    os.makedirs(args.out, exist_ok=True)
     result = run_experiment(cfg, train_ds, test_ds, out_dir=args.out)
     acc = result.report.accuracy
     print(f"final test accuracy: {acc:.4f}")
@@ -214,7 +213,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _build_config(args)
     train_ds, test_ds = _load_pair(cfg)
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     for tag, overrides in ABLATION_LADDER:
         result = run_experiment(replace(cfg, **overrides), train_ds, test_ds,

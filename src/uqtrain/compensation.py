@@ -66,8 +66,8 @@ def compensate(feat: T.DiffArray, stats,
     (B, C, H, W) map or a block's flat (B, C * H * W) output; the result
     has feat's shape.
 
-    stats must be the LayerStats of this exact map: its values are
-    constants, its centered planes are reused rather than recomputed,
+    stats must be the LayerStats of this exact map: its arrays are read
+    off the tape, its centered planes are reused rather than recomputed,
     and the node's backward differentiates through the statistics in
     closed form, so the network still feels how its own feature
     distribution shifts under the jitter.
@@ -83,12 +83,10 @@ def compensate(feat: T.DiffArray, stats,
         if np.shape(eps) != (b, c):
             raise ContractError(f"perturbation shape {np.shape(eps)} does not "
                                 f"match map ({b}, {c})")
-    return T.perturb_stats(feat, stats.centered.values,
-                           stats.instance_mean.values,
-                           stats.instance_std.values,
-                           stats.std_of_means.values,
-                           stats.std_of_stds.values,
-                           draw.eps_mean, draw.eps_std, EPS_DIV)
+    return T.perturb_stats(feat, stats.centered, stats.instance_mean,
+                           stats.instance_std, stats.std_of_means,
+                           stats.std_of_stds, draw.eps_mean, draw.eps_std,
+                           EPS_DIV)
 
 
 def forward_with_compensation(x: T.DiffArray, net,
@@ -109,8 +107,7 @@ def forward_with_compensation(x: T.DiffArray, net,
         feat = block.apply(h)
         if key is not None:
             bsz = feat.shape[0]
-            st = layer_stats(T.constant(feat.values.reshape(bsz,
-                                                            *block.grid)))
+            st = layer_stats(feat.values.reshape(bsz, *block.grid))
             draw = draw_perturbation(bsz, block.grid[0], *key, k)
             feat = compensate(feat, st, draw)
         # frees the pre-activation map before the block input; measured on

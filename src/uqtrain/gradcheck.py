@@ -88,7 +88,8 @@ def _spread_map(rng):
 
 def _compensated(rng):
     noise = PerturbationDraw(*rng.standard_normal((2, 2, 3)))
-    return ((lambda ars: compensate(ars[0], layer_stats(ars[0]), noise)),
+    return ((lambda ars: compensate(ars[0], layer_stats(ars[0].values),
+                                    noise)),
             [_spread_map(rng)])
 
 
@@ -104,7 +105,7 @@ def _compensated_flat_3x3(rng):
     flat = (u[:, :, None] + s[:, :, None] * z).reshape(2, 27)
 
     def op(ars):
-        grid = T.constant(ars[0].values.reshape(2, 3, 3, 3))
+        grid = ars[0].values.reshape(2, 3, 3, 3)
         return compensate(ars[0], layer_stats(grid), noise)
 
     return op, [flat]

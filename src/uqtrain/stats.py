@@ -9,8 +9,8 @@ For a feature map F of shape (B, C, H, W) we track two levels:
 
 The batch-level spreads say how much the instance statistics wobble
 across the batch, which is exactly the scale the compensation module
-uses for its perturbation draws.  All six statistics are plain
-constants, and so are the centered planes below: the compensation op's
+uses for its perturbation draws.  All six statistics are plain float64
+arrays, and so are the centered planes below: the compensation op's
 backward differentiates through them itself, so none of them goes on
 the tape.
 
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError
 
 # variance smoothing inside every std; keeps each std at least 1e-6, so
@@ -35,15 +34,15 @@ EPS_VAR = 1e-12
 
 @dataclass
 class LayerStats:
-    """All statistics of one feature map, every field a constant."""
+    """All statistics of one feature map, every field a float64 array."""
 
-    instance_mean: T.DiffArray   # (B, C)
-    instance_std: T.DiffArray    # (B, C)
-    mean_of_means: T.DiffArray   # (C,)
-    std_of_means: T.DiffArray    # (C,)
-    mean_of_stds: T.DiffArray    # (C,)
-    std_of_stds: T.DiffArray     # (C,)
-    centered: T.DiffArray        # (H * W, B, C) planes of x - U
+    instance_mean: np.ndarray   # (B, C)
+    instance_std: np.ndarray    # (B, C)
+    mean_of_means: np.ndarray   # (C,)
+    std_of_means: np.ndarray    # (C,)
+    mean_of_stds: np.ndarray    # (C,)
+    std_of_stds: np.ndarray     # (C,)
+    centered: np.ndarray        # (H * W, B, C) planes of x - U
 
 
 def _std(x, mean, axis):
@@ -54,9 +53,10 @@ def _std(x, mean, axis):
                    + EPS_VAR)
 
 
-def layer_stats(feat: T.DiffArray) -> LayerStats:
-    """Both levels of statistics of a (B, C, H, W) map.  Each mean is
-    taken once and serves its std too."""
+def layer_stats(feat: np.ndarray) -> LayerStats:
+    """Both levels of statistics of a (B, C, H, W) map, read as float64.
+    Each mean is taken once and serves its std too."""
+    feat = np.asarray(feat, dtype=np.float64)
     if feat.ndim != 4:
         raise ContractError(f"layer_stats needs a 4-d map, got {feat.shape}")
     b, c, h, w = feat.shape
@@ -66,16 +66,12 @@ def layer_stats(feat: T.DiffArray) -> LayerStats:
     if b < 2:
         raise ContractError("batch statistics need at least 2 samples")
     planes = np.ascontiguousarray(
-        feat.values.reshape(b, c, h * w).transpose(2, 0, 1))
+        feat.reshape(b, c, h * w).transpose(2, 0, 1))
     u = np.add.reduce(planes, axis=0) / (h * w)
     centered = planes - u
     s = np.sqrt(np.add.reduce(centered * centered, axis=0) / (h * w)
                 + EPS_VAR)
     u_bar, s_bar = u.sum(axis=0) / b, s.sum(axis=0) / b
-    return LayerStats(instance_mean=T.constant(u),
-                      instance_std=T.constant(s),
-                      mean_of_means=T.constant(u_bar),
-                      std_of_means=T.constant(_std(u, u_bar, 0)),
-                      mean_of_stds=T.constant(s_bar),
-                      std_of_stds=T.constant(_std(s, s_bar, 0)),
-                      centered=T.constant(centered))
+    return LayerStats(instance_mean=u, instance_std=s, mean_of_means=u_bar,
+                      std_of_means=_std(u, u_bar, 0), mean_of_stds=s_bar,
+                      std_of_stds=_std(s, s_bar, 0), centered=centered)

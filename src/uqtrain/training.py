@@ -510,12 +510,13 @@ def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
     check_model_size(cfg, width, classes,
                      min(max(cfg.batch_size, SCORE_BLOCK_ROWS),
                          max(len(train_ds), len(test_ds))))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     net = build_vector_network(width, classes, cfg.embed_dim,
                                [cfg.parse_grid()] * cfg.num_blocks, cfg.seed)
     result = fit(net, train_ds, test_ds, cfg)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_metrics_csv(result.history,
                           os.path.join(out_dir, f"{tag}_metrics.csv"))
         write_config_echo(cfg, os.path.join(out_dir, f"{tag}_config.txt"))

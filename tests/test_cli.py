@@ -19,6 +19,7 @@ import pytest
 import uqtrain
 import uqtrain.cli as cli
 import uqtrain.errors as errors
+import uqtrain.training as training
 from uqtrain.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from uqtrain.data import LabeledDataset, load_dataset, save_dataset
 from uqtrain.heads import (build_vector_network, load_checkpoint,
@@ -329,25 +330,41 @@ def test_triplet_term_without_a_branch_exits_2(data_dir, tmp_path, capsys,
     assert not os.path.exists(os.path.join(tmp_path, "x"))
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
 @pytest.mark.parametrize("flag, value, key", [
     ("--embed-dim", "100000000000000000000", "embed_dim"),
     ("--hidden-grid", "100000000000000000x2x2", "hidden_grid"),
     ("--embed-dim", "3000000000", "embed_dim"),
     ("--num-blocks", "100000000000", "num_blocks")])
 def test_oversized_architecture_exits_2_before_allocating(
-        data_dir, tmp_path, capsys, flag, value, key):
+        data_dir, tmp_path, capsys, command, flag, value, key):
     """The size bound is arithmetic on the config: no network, list of
     grids or parameter array is built, so each refusal takes
-    milliseconds and prints one line."""
+    milliseconds, prints one line and creates no --out directory."""
+    out = os.path.join(tmp_path, "x")
     start = time.perf_counter()
-    code = main(["train", "--out", os.path.join(tmp_path, "x")]
-                + fast_args(data_dir) + [flag, value])
+    code = main([command, "--out", out] + fast_args(data_dir) + [flag, value])
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key} = {value}: ")
     assert f"bound of {MAX_MODEL_VALUES}\n" in err
     assert err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_out_naming_a_file_exits_4_before_training(
+        data_dir, tmp_path, monkeypatch, command):
+    """The --out directory is made before the first train step, so an
+    --out that names a file fails at once."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("train_step ran")
+
+    monkeypatch.setattr(training, "train_step", forbidden)
+    out = os.path.join(tmp_path, "x")
+    open(out, "w").close()
+    assert main([command, "--out", out] + fast_args(data_dir)) == EXIT_IO
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -420,7 +420,7 @@ def test_forward_deterministic_bitwise():
 
     def forward():
         flat = T.affine(T.constant(x), T.constant(w), T.constant(b))
-        grid = T.constant(flat.values.reshape(4, 3, 4, 4))
+        grid = flat.values.reshape(4, 3, 4, 4)
         feats = T.relu(compensate(flat, layer_stats(grid), draw))
         return T.class_cross_entropy(feats, T.constant(classifier),
                                      np.eye(3)[[0, 1, 2, 0]]).values
@@ -431,7 +431,7 @@ def test_forward_deterministic_bitwise():
 def test_perturb_stats_on_the_flat_output_matches_its_grid_view_bitwise():
     rng = np.random.default_rng(5)
     grid = rng.standard_normal((6, 3, 2, 2)) * 2.0
-    st = layer_stats(T.constant(grid))
+    st = layer_stats(grid)
     draw = draw_perturbation(6, 3, seed=5, epoch=1, batch_index=2,
                              layer_index=1)
     g = rng.standard_normal(grid.shape)
