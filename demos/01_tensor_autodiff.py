@@ -13,7 +13,6 @@ import uqtrain.tensor as T
 from uqtrain.compensation import compensate, draw_perturbation
 from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import build_vector_network
-from uqtrain.stats import layer_stats
 
 
 def scalar_chain():
@@ -56,9 +55,7 @@ def grid_statistics():
     w = rng.standard_normal((4, 12))
 
     def f(arrays):
-        flat = block.apply(x)
-        grid = flat.values.reshape(4, *block.grid)
-        return weighted_sum(compensate(flat, layer_stats(grid), draw), w)
+        return weighted_sum(compensate(block.apply(x), block.grid, draw), w)
 
     with T.Tape() as tape:
         f(None)

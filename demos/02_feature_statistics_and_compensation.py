@@ -32,14 +32,14 @@ def main():
 
     zero = PerturbationDraw(eps_mean=np.zeros((4, 3)),
                             eps_std=np.zeros((4, 3)))
-    identity = compensate(feat, st, zero)
+    identity = compensate(feat, x.shape[1:], zero)
     print(f"\nzero noise deviation from the input: "
           f"{np.abs(identity.values - x).max():.2e} "
           f"(the transform collapses to the identity)")
 
     draw = draw_perturbation(4, 3, seed=0, epoch=0, batch_index=0,
                              layer_index=1)
-    out = compensate(feat, st, draw)
+    out = compensate(feat, x.shape[1:], draw)
     shift = np.abs(out.values - x).mean(axis=(1, 2, 3))
     print(f"per-sample mean absolute shift under a real draw: "
           f"{np.round(shift, 3)}")

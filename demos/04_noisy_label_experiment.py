@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from uqtrain.config import TrainConfig
-from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
+from uqtrain.data import corrupt_labels, make_blobs, split_dataset
 from uqtrain.training import predict, run_experiment
 
 
@@ -26,8 +26,7 @@ def main():
 
     pool = make_blobs(4, 10, 900, 1.0, seed=args.seed)
     train, test = split_dataset(pool, 600)
-    noisy = corrupt_labels(train, NoiseSpec(ratio=args.noise,
-                                            seed=args.seed))
+    noisy = corrupt_labels(train, args.noise, args.seed)
     flipped = noisy.labels != noisy.clean_labels
     print(f"{int(flipped.sum())} of {len(train)} train labels flipped "
           f"({args.noise:.0%}); test labels stay clean\n")

@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from uqtrain.config import TrainConfig
-from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
+from uqtrain.data import corrupt_labels, make_blobs, split_dataset
 from uqtrain.training import evaluate, predict, run_experiment
 
 
@@ -25,7 +25,7 @@ def main():
     # runs train fine but rank their own mistakes poorly
     pool = make_blobs(4, 10, 3000, 1.0, seed=args.seed)
     train, test = split_dataset(pool, 2000)
-    noisy = corrupt_labels(train, NoiseSpec(ratio=0.3, seed=args.seed))
+    noisy = corrupt_labels(train, 0.3, args.seed)
 
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs)
     result = run_experiment(cfg, noisy, test)

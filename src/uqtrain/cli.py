@@ -23,7 +23,6 @@ import numpy as np
 
 from .config import TrainConfig, apply_overrides, load_config_file
 from .data import (
-    NoiseSpec,
     corrupt_labels,
     load_dataset,
     make_blobs,
@@ -39,7 +38,8 @@ from .errors import (
 )
 from .files import write_csv
 from .heads import load_checkpoint
-from .training import ABLATION_LADDER, class_count, evaluate, run_experiment
+from .training import (ABLATION_LADDER, REJECTION_RATES, class_count,
+                       evaluate, run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,8 +120,7 @@ def cmd_synth(args) -> int:
                       args.seed)
     train, test = split_dataset(pool, args.train_size)
     if args.noise_ratio != 0:   # NaN and negatives reach the range check
-        train = corrupt_labels(train, NoiseSpec(ratio=args.noise_ratio,
-                                                seed=args.noise_seed))
+        train = corrupt_labels(train, args.noise_ratio, args.noise_seed)
     save_dataset(train, args.train_out)
     save_dataset(test, args.test_out)
     print(f"wrote {len(train)} train rows to {args.train_out}")
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy after rejecting uncertain samples")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rates", default="0,0.1,0.2,0.3")
+    p.add_argument("--rates", default=",".join(map(str, REJECTION_RATES)))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_reject_curve)
 

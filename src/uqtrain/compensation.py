@@ -8,14 +8,16 @@ by Gaussian noise whose magnitude is the observed batch-level spread.
 Writing U, S for the instance mean/std and Sm, Ss for the batch spread
 of means/stds, a map F becomes
 
-    F' = (S + eps_s * Ss) * (F - U) / (S + eps_div) + (U + eps_m * Sm)
+    F' = (S + eps_s * Ss) * (F - U) / (S + e) + (U + eps_m * Sm)
 
-with eps_m, eps_s ~ N(0, 1) drawn fresh per step from a keyed stream.
-With eps = 0 this is the identity up to the eps_div smoothing, and in
-expectation it leaves the map unchanged.  The layer is train-only and
-follows every backbone block: a training forward passes the step's
-noise key (seed, epoch, batch_index), and evaluation passes no key and
-runs the plain forward pass.
+with eps_m, eps_s ~ N(0, 1) drawn fresh per step from a keyed stream
+and e = T.EPS_RESTANDARDIZE, a 1e-6 smoothing.  The layer takes the
+statistics of the map it is given: compensate computes U, S, Sm and Ss
+from F itself.  With eps = 0 this is the identity up to the smoothing,
+and in expectation it leaves the map unchanged.  The layer is
+train-only and follows every backbone block: a training forward passes
+the step's noise key (seed, epoch, batch_index), and evaluation passes
+no key and runs the plain forward pass.
 
 A block's output F stays flat, (B, C * H * W), on the tape.  Its
 (C, H, W) grid is metadata the block carries: the statistics read an
@@ -35,10 +37,6 @@ from . import tensor as T
 from .errors import ContractError
 from .rng import STREAM_PERTURB, keyed_rng
 from .stats import layer_stats
-
-# smoothing added to the normalization denominator; much coarser than the
-# 1e-12 division guard so near-constant channels stay well-conditioned.
-EPS_DIV = 1e-6
 
 
 @dataclass
@@ -60,33 +58,33 @@ def draw_perturbation(batch_size: int, channels: int, seed: int, epoch: int,
     return PerturbationDraw(eps_mean=eps_mean, eps_std=eps_std)
 
 
-def compensate(feat: T.DiffArray, stats,
+def compensate(feat: T.DiffArray, grid: tuple[int, int, int],
                draw: PerturbationDraw) -> T.DiffArray:
     """Apply one compensation step to a map, as one tape node.  feat is a
-    (B, C, H, W) map or a block's flat (B, C * H * W) output; the result
-    has feat's shape.
+    block's flat (B, C * H * W) output or its (B, C, H, W) view for the
+    (C, H, W) grid; the result has feat's shape.
 
-    stats must be the LayerStats of this exact map: its arrays are read
-    off the tape, its centered planes are reused rather than recomputed,
-    and the node's backward differentiates through the statistics in
-    closed form, so the network still feels how its own feature
-    distribution shifts under the jitter.
+    The layer takes the statistics of the map it is given: layer_stats
+    reads them off the tape from feat's (B, C, H, W) view, the node
+    reuses their centered planes rather than recomputing them, and its
+    backward differentiates through the statistics in closed form, so
+    the network still feels how its own feature distribution shifts
+    under the jitter.  The re-standardization is smoothed by
+    T.EPS_RESTANDARDIZE.
     """
-    n, b, c = stats.centered.shape
-    fits = (feat.ndim in (2, 4) and feat.shape[0] == b
-            and feat.size == n * b * c
-            and (feat.ndim == 2 or feat.shape[1] == c))
-    if not fits:
-        raise ContractError(f"stats of a {(b, c)} map at {n} positions do not "
-                            f"match map {feat.shape}")
+    c, h, w = grid
+    if feat.shape[1:] not in ((c * h * w,), (c, h, w)):
+        raise ContractError(f"map {feat.shape} is neither (B, {c * h * w}) "
+                            f"nor (B, {c}, {h}, {w}) for grid {(c, h, w)}")
+    b = feat.shape[0]
     for eps in (draw.eps_mean, draw.eps_std):
         if np.shape(eps) != (b, c):
             raise ContractError(f"perturbation shape {np.shape(eps)} does not "
                                 f"match map ({b}, {c})")
-    return T.perturb_stats(feat, stats.centered, stats.instance_mean,
-                           stats.instance_std, stats.std_of_means,
-                           stats.std_of_stds, draw.eps_mean, draw.eps_std,
-                           EPS_DIV)
+    st = layer_stats(feat.values.reshape(b, c, h, w))
+    return T.perturb_stats(feat, st.centered, st.instance_mean,
+                           st.instance_std, st.std_of_means, st.std_of_stds,
+                           draw.eps_mean, draw.eps_std)
 
 
 def forward_with_compensation(x: T.DiffArray, net,
@@ -106,10 +104,8 @@ def forward_with_compensation(x: T.DiffArray, net,
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
         if key is not None:
-            bsz = feat.shape[0]
-            st = layer_stats(feat.values.reshape(bsz, *block.grid))
-            draw = draw_perturbation(bsz, block.grid[0], *key, k)
-            feat = compensate(feat, st, draw)
+            feat = compensate(feat, block.grid, draw_perturbation(
+                feat.shape[0], block.grid[0], *key, k))
         # frees the pre-activation map before the block input; measured on
         # a 1000-row eval batch (2 cores, numpy 2.4.6) this order runs the
         # plain forward ~20% faster than `h = T.relu(feat)`

@@ -85,12 +85,13 @@ class TrainConfig:
                 + "; set use_triplet_term false")
         for key in ("data_train", "data_test"):
             path = getattr(self, key)
-            # the config echo must parse back to the same path
-            if "#" in path or path.splitlines() not in ([], [path]) \
-                    or path != path.strip():
-                raise ConfigError(f"{key} must not hold '#', a line break "
-                                  f"or leading or trailing blanks, got "
-                                  f"{path!r}")
+            # the config echo must parse back to the same path, and
+            # open() refuses a NUL byte
+            if "#" in path or "\0" in path or path != path.strip() \
+                    or path.splitlines() not in ([], [path]):
+                raise ConfigError(f"{key} must not hold '#', a NUL byte, a "
+                                  f"line break or leading or trailing "
+                                  f"blanks, got {path!r}")
         self.parse_grid()
         return self
 

@@ -45,14 +45,6 @@ class LabeledDataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-@dataclass
-class NoiseSpec:
-    """Symmetric label flipping: fraction of samples, seed."""
-
-    ratio: float = 0.0
-    seed: int = 0
-
-
 def make_blobs(n_classes: int, n_features: int, n_samples: int,
                spread: float, seed: int) -> LabeledDataset:
     """Gaussian blobs around well-separated standard-normal centers.
@@ -95,20 +87,22 @@ def make_blobs(n_classes: int, n_features: int, n_samples: int,
     return LabeledDataset(features=features, labels=labels)
 
 
-def corrupt_labels(ds: LabeledDataset, spec: NoiseSpec) -> LabeledDataset:
-    """Flip exactly floor(ratio * N) labels, never to the original class.
+def corrupt_labels(ds: LabeledDataset, ratio: float,
+                   seed: int) -> LabeledDataset:
+    """Symmetric label noise: flip exactly floor(ratio * N) labels, never
+    to the original class, with the flips keyed by seed.
 
     Returns a new dataset; clean_labels records the pre-flip truth.
     """
-    if not 0.0 <= spec.ratio <= 1.0:
-        raise ContractError(f"noise ratio must be in [0, 1], got {spec.ratio}")
+    if not 0.0 <= ratio <= 1.0:
+        raise ContractError(f"noise ratio must be in [0, 1], got {ratio}")
     n = len(ds)
     k = ds.num_classes
     if k < 2:
         raise ContractError("label corruption needs at least 2 classes")
 
-    n_flip = int(np.floor(spec.ratio * n))
-    rng = keyed_rng(spec.seed, STREAM_DATA, 1)
+    n_flip = int(np.floor(ratio * n))
+    rng = keyed_rng(seed, STREAM_DATA, 1)
     flip_idx = rng.choice(n, size=n_flip, replace=False)
     new_labels = ds.labels.copy()
     # shift by 1..k-1 modulo k: cannot land on the original label

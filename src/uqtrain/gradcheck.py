@@ -10,7 +10,7 @@ since index selection is not part of the differentiable surface.
 Each case draws its inputs and output weighting from its own generator,
 keyed by (seed, case name), so adding or deleting a case leaves every
 other case's inputs as they were.  Inputs stay off the kinks and away
-from the near-zero spreads where central differences at FD_STEP lose
+from the near-zero spreads where central differences at T.FD_STEP lose
 their accuracy.
 
 The op outputs are reduced to scalars through a fixed random weighting,
@@ -27,12 +27,10 @@ from .compensation import PerturbationDraw, compensate
 from .config import TrainConfig
 from .errors import ContractError
 from .heads import build_vector_network
-from .stats import layer_stats
 from .training import step_loss
 
 # |analytic - numeric| / max(1, |analytic|, |numeric|) must stay below this
 REL_TOL = 1e-4
-FD_STEP = 1e-4
 
 
 def weighted_sum(x: T.DiffArray, w) -> T.DiffArray:
@@ -88,8 +86,7 @@ def _spread_map(rng):
 
 def _compensated(rng):
     noise = PerturbationDraw(*rng.standard_normal((2, 2, 3)))
-    return ((lambda ars: compensate(ars[0], layer_stats(ars[0].values),
-                                    noise)),
+    return ((lambda ars: compensate(ars[0], (3, 1, 2), noise)),
             [_spread_map(rng)])
 
 
@@ -103,17 +100,12 @@ def _compensated_flat_3x3(rng):
     z = rng.standard_normal((2, 3, 9))
     z = (z - z.mean(axis=2, keepdims=True)) / z.std(axis=2, keepdims=True)
     flat = (u[:, :, None] + s[:, :, None] * z).reshape(2, 27)
-
-    def op(ars):
-        grid = ars[0].values.reshape(2, 3, 3, 3)
-        return compensate(ars[0], layer_stats(grid), noise)
-
-    return op, [flat]
+    return (lambda ars: compensate(ars[0], (3, 3, 3), noise)), [flat]
 
 
 def _off_kink(rng):
     """relu on inputs at least 0.1 from its kink, which a central
-    difference at FD_STEP would straddle."""
+    difference at T.FD_STEP would straddle."""
     x = rng.standard_normal((3, 4))
     return (lambda ars: T.relu(ars[0])), [x + np.copysign(0.1, x)]
 
@@ -188,7 +180,7 @@ def run_gradcheck(n_seeds: int = 3, verbose: bool = False) -> list:
     for seed in range(n_seeds):
         for name, f, arrays in (*_op_cases(seed),
                                 ("end_to_end", *end_to_end_case(seed))):
-            err = T.check_gradients(f, arrays, h=FD_STEP)
+            err = T.check_gradients(f, arrays)
             worst_overall = max(worst_overall, err)
             if err >= REL_TOL:
                 failures.append((name, seed, err))

@@ -39,6 +39,8 @@ from .errors import ContractError
 
 # |denominator| below this is treated as a division by zero.
 EPS_DIV = 1e-12
+# central-difference step of numeric_gradient and check_gradients
+FD_STEP = 1e-4
 
 
 class DiffArray:
@@ -257,13 +259,18 @@ def affine(x: DiffArray, w: DiffArray, b: DiffArray) -> DiffArray:
 # ---------------------------------------------------------------------------
 # statistics op: a whole compensated layer is one node
 
+# smoothing added to the re-standardization denominator; much coarser than
+# EPS_DIV so near-constant channels stay well-conditioned.
+EPS_RESTANDARDIZE = 1e-6
 
-def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
-                  eps_div: float) -> DiffArray:
+
+def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m,
+                  eps_s) -> DiffArray:
     """Re-standardize a map by its instance statistics and re-scale and
     re-shift it by jittered ones:
 
-        out = (s + eps_s * ss) * ((x - u) / (s + eps_div)) + (u + eps_m * sm)
+        out = (s + eps_s * ss) * ((x - u) / (s + EPS_RESTANDARDIZE))
+              + (u + eps_m * sm)
 
     x is a (B, C * H * W) block output or its (B, C, H, W) view, and the
     output keeps x's shape.  The op works on position planes: x read as
@@ -271,21 +278,22 @@ def perturb_stats(x: DiffArray, centered, u, s, sm, ss, eps_m, eps_s,
     operand broadcasts along the leading axis and every spatial sum adds
     whole planes left to right, as layer_stats does.  centered is x - u
     on those planes, as layer_stats leaves it.  u, s are the (B, C)
-    spatial mean and smoothed population std of this exact x, and sm, ss
-    the (C,) smoothed population stds of u and s over the batch, all
-    plain arrays; the backward differentiates through them in closed
-    form.  eps_m, eps_s are (B, C) noise fields.  The caller checks the
-    shapes.
+    spatial mean and smoothed population std of this x, and sm, ss the
+    (C,) smoothed population stds of u and s over the batch, all plain
+    arrays: the layer takes the statistics of the map it is given, and
+    the backward differentiates through them in closed form.  eps_m,
+    eps_s are (B, C) noise fields.  compensate computes the statistics
+    and checks the shapes.
     """
     n, b, c = centered.shape
     scale = s + eps_s * ss
-    denom = s + eps_div
+    denom = s + EPS_RESTANDARDIZE
     planes = scale * (centered / denom) + (u + eps_m * sm)
     out = DiffArray(planes.transpose(1, 2, 0).reshape(x.shape))
 
     def bw(g):
         # every divisor is at least 1e-6: s, sm and ss carry the variance
-        # smoothing and denom adds eps_div, so no zero-denominator guard
+        # smoothing and denom adds EPS_RESTANDARDIZE, so no zero guard
         g = np.ascontiguousarray(g.reshape(b, c, n).transpose(2, 0, 1))
         a = scale / denom
         keep = 1.0 - a
@@ -437,7 +445,8 @@ def triplet_hinge(mean: DiffArray, pos, neg, keep,
 # finite-difference utilities (the ground truth the grad tests lean on)
 
 
-def numeric_gradient(f, arrays, index: int, h: float = 1e-4) -> np.ndarray:
+def numeric_gradient(f, arrays, index: int,
+                     h: float = FD_STEP) -> np.ndarray:
     """Central finite differences of scalar f w.r.t. arrays[index]."""
     target = arrays[index].values
     grad = np.zeros_like(target)
@@ -459,7 +468,7 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def check_gradients(f, arrays, h: float = 1e-4) -> float:
+def check_gradients(f, arrays, h: float = FD_STEP) -> float:
     """Backprop f through a fresh tape and compare against central
     differences for every requires_grad input.  Returns the worst
     relative error, |analytic - numeric| / max(1, |analytic|, |numeric|).

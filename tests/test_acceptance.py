@@ -19,7 +19,7 @@ from uqtrain.cli import main as cli_main
 from uqtrain.compensation import (PerturbationDraw, compensate,
                                   draw_perturbation)
 from uqtrain.config import TrainConfig
-from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
+from uqtrain.data import corrupt_labels, make_blobs, split_dataset
 from uqtrain.gradcheck import run_gradcheck
 from uqtrain.heads import UncertainBatch
 from uqtrain.losses import ce_loss, mixup, total_loss, triplet_loss
@@ -129,7 +129,7 @@ def test_criterion_3_compensation_identity_and_zero_mean(verdict):
         assert st.instance_std.min() >= 0.1
         zero = PerturbationDraw(eps_mean=np.zeros((6, 4)),
                                 eps_std=np.zeros((6, 4)))
-        out = compensate(feat, st, zero)
+        out = compensate(feat, x.shape[1:], zero)
         identity_dev = max(identity_dev,
                            float(np.max(np.abs(out.values - x))))
 
@@ -310,8 +310,7 @@ def desk_data(seed: int, noise_ratio: float):
     pool = make_blobs(4, 10, 3000, 1.0, seed=seed)
     train, test = split_dataset(pool, 2000)
     if noise_ratio > 0:
-        train = corrupt_labels(train, NoiseSpec(ratio=noise_ratio,
-                                                seed=seed))
+        train = corrupt_labels(train, noise_ratio, seed)
     return train, test
 
 

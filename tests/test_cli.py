@@ -297,6 +297,20 @@ def test_bad_config_key_exits_2(data_dir, tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+def test_nul_byte_in_config_data_path_exits_2(data_dir, tmp_path, capsys):
+    """open() cannot take a NUL byte, so validate() refuses the path
+    before any work starts: one stderr line, no traceback."""
+    cfg = os.path.join(tmp_path, "nul.cfg")
+    with open(cfg, "w") as f:
+        f.write(f"data_train = a\0b.csv\ndata_test = {data_dir['test']}\n")
+    out = os.path.join(tmp_path, "x")
+    code = main(["train", "--out", out, "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: data_train") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_divergent_run_exits_3(data_dir, tmp_path, capsys):
     """Exit 3 prints its one documented line: numpy warns of no overflow
     on the way to the non-finite loss."""

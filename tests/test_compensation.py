@@ -7,7 +7,6 @@ import pytest
 
 import uqtrain.tensor as T
 from uqtrain.compensation import (
-    EPS_DIV,
     PerturbationDraw,
     compensate,
     draw_perturbation,
@@ -18,6 +17,7 @@ from uqtrain.gradcheck import weighted_sum
 from uqtrain.heads import build_vector_network
 from uqtrain.rng import STREAM_PERTURB, keyed_rng
 from uqtrain.stats import EPS_VAR, layer_stats
+from uqtrain.tensor import EPS_RESTANDARDIZE
 
 def zero_draw(b, c):
     return PerturbationDraw(eps_mean=np.zeros((b, c)),
@@ -37,7 +37,7 @@ def test_zero_eps_is_identity_up_to_eps_div():
     feat = random_feat(rng, min_spread=0.1)
     st = layer_stats(feat)
     assert float(st.instance_std.min()) >= 0.1
-    out = compensate(T.constant(feat), st, zero_draw(4, 3))
+    out = compensate(T.constant(feat), feat.shape[1:], zero_draw(4, 3))
     assert np.max(np.abs(out.values - feat)) <= 1e-4
 
 
@@ -48,7 +48,7 @@ def test_constant_channel_collapses_to_jittered_mean():
     st = layer_stats(feat)
     draw = draw_perturbation(3, 2, seed=7, epoch=0,
                              batch_index=0, layer_index=1)
-    out = compensate(T.constant(feat), st, draw).values
+    out = compensate(T.constant(feat), feat.shape[1:], draw).values
     expect = (st.instance_mean[:, 1]
               + draw.eps_mean[:, 1] * st.std_of_means[1])
     for h in range(2):
@@ -62,7 +62,7 @@ def test_compensate_matches_scalar_reference():
     st = layer_stats(feat)
     draw = draw_perturbation(4, 3, seed=3, epoch=1,
                              batch_index=2, layer_index=1)
-    out = compensate(T.constant(feat), st, draw).values
+    out = compensate(T.constant(feat), feat.shape[1:], draw).values
 
     u = st.instance_mean
     s = st.instance_std
@@ -75,7 +75,8 @@ def test_compensate_matches_scalar_reference():
             shift = u[b, c] + draw.eps_mean[b, c] * sig_mu[c]
             for h in range(4):
                 for w in range(4):
-                    norm = (feat[b, c, h, w] - u[b, c]) / (s[b, c] + EPS_DIV)
+                    norm = ((feat[b, c, h, w] - u[b, c])
+                            / (s[b, c] + EPS_RESTANDARDIZE))
                     expect[b, c, h, w] = scale * norm + shift
     np.testing.assert_array_equal(out, expect)
 
@@ -83,8 +84,8 @@ def test_compensate_matches_scalar_reference():
 def test_perturbation_is_zero_mean_over_draws():
     rng = np.random.default_rng(3)
     feat = random_feat(rng, shape=(3, 2, 2, 2), min_spread=0.2)
-    st = layer_stats(feat)
-    reference = compensate(T.constant(feat), st, zero_draw(3, 2)).values
+    reference = compensate(T.constant(feat), feat.shape[1:],
+                           zero_draw(3, 2)).values
 
     n_draws = 2000
     acc = np.zeros_like(feat)
@@ -92,7 +93,7 @@ def test_perturbation_is_zero_mean_over_draws():
     for i in range(n_draws):
         draw = draw_perturbation(3, 2, seed=11, epoch=0,
                                  batch_index=i, layer_index=1)
-        out = compensate(T.constant(feat), st, draw).values
+        out = compensate(T.constant(feat), feat.shape[1:], draw).values
         acc += out
         sq += out * out
     mean = acc / n_draws
@@ -118,12 +119,10 @@ def test_batch_permutation_equivariance():
     perm = rng.permutation(4)
     draw = draw_perturbation(4, 3, seed=9, epoch=0,
                              batch_index=0, layer_index=1)
-    out = compensate(T.constant(feat), layer_stats(feat),
-                     draw).values
+    out = compensate(T.constant(feat), feat.shape[1:], draw).values
     permuted_draw = PerturbationDraw(eps_mean=draw.eps_mean[perm],
                                      eps_std=draw.eps_std[perm])
-    out_perm = compensate(T.constant(feat[perm]),
-                          layer_stats(feat[perm]),
+    out_perm = compensate(T.constant(feat[perm]), feat.shape[1:],
                           permuted_draw).values
     np.testing.assert_allclose(out[perm], out_perm, atol=1e-12)
 
@@ -136,7 +135,7 @@ def test_gradient_through_compensation_matches_fd():
     weights = rng.standard_normal(feat.shape)
 
     def f(ars):
-        out = compensate(ars[0], layer_stats(ars[0].values), draw)
+        out = compensate(ars[0], ars[0].shape[1:], draw)
         return weighted_sum(out, weights)
 
     assert T.check_gradients(f, [feat]) < 1e-4
@@ -195,36 +194,30 @@ def test_single_enabled_layer_matches_manual_composition():
     h = T.constant(x)
     for k, block in enumerate(net.blocks, start=1):
         feat = block.apply(h)
-        grid = feat.values.reshape(feat.shape[0], *block.grid)
-        st = layer_stats(grid)
         draw = draw_perturbation(feat.shape[0], block.grid[0],
                                  seed=17, epoch=1,
                                  batch_index=4, layer_index=k)
-        feat = compensate(feat, st, draw)
+        feat = compensate(feat, block.grid, draw)
         h = T.relu(feat)
     assert out.values.tobytes() == h.values.tobytes()
 
 
 def test_stats_shape_mismatch_rejected():
+    """compensate takes the statistics of the map it is given, read at
+    the grid it is given: a map that is neither (B, C * H * W) nor
+    (B, C, H, W) for that grid is refused, both shapes named."""
     rng = np.random.default_rng(11)
     feat = rng.standard_normal((4, 3, 2, 2))
-    other = layer_stats(rng.standard_normal((4, 5, 2, 2)))
-    with pytest.raises(ContractError,
-                       match=r"stats of a \(4, 5\) map at 4 positions do not "
-                             r"match map \(4, 3, 2, 2\)"):
-        compensate(T.constant(feat), other, zero_draw(4, 5))
-    # a flat map's width must hold whole channels, and its batch must match
-    with pytest.raises(ContractError,
-                       match=r"stats of a \(4, 5\) map at 4 positions do not "
-                             r"match map \(4, 12\)"):
-        compensate(T.constant(feat.reshape(4, 12)), other, zero_draw(4, 5))
-    with pytest.raises(ContractError,
-                       match=r"stats of a \(4, 3\) map at 4 positions do not "
-                             r"match map \(2, 12\)"):
-        compensate(T.constant(feat[:2].reshape(2, 12)),
-                   layer_stats(feat), zero_draw(4, 3))
+    for shape, grid in (((4, 3, 2, 2), (5, 2, 2)), ((4, 12), (5, 2, 2)),
+                        ((4, 3, 4), (3, 2, 2)), ((4, 6, 2), (3, 2, 2)),
+                        ((4, 12, 1), (3, 2, 2))):
+        c, h, w = grid
+        with pytest.raises(ContractError, match=re.escape(
+                f"map {shape} is neither (B, {c * h * w}) nor "
+                f"(B, {c}, {h}, {w}) for grid {grid}")):
+            compensate(T.constant(feat.reshape(shape)), grid,
+                       zero_draw(4, grid[0]))
     # both noise fields must be (B, C); neither may broadcast
-    own = layer_stats(feat)
     for shape in ((3,), (1, 1)):
         for draw in (PerturbationDraw(np.zeros(shape), np.zeros((4, 3))),
                      PerturbationDraw(np.zeros((4, 3)), np.zeros(shape))):
@@ -232,7 +225,7 @@ def test_stats_shape_mismatch_rejected():
                                match=r"perturbation shape "
                                      + re.escape(str(shape))
                                      + r" does not match map \(4, 3\)"):
-                compensate(T.constant(feat), own, draw)
+                compensate(T.constant(feat), feat.shape[1:], draw)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +250,7 @@ def channel_axis_perturb(x, u, s, sm, ss, eps_m, eps_s, g):
     scale = (s + eps_s * ss)[:, :, None]
     shift = (u + eps_m * sm)[:, :, None]
     centered = x.reshape(b, c, -1) - u[:, :, None]
-    denom = s[:, :, None] + EPS_DIV
+    denom = s[:, :, None] + EPS_RESTANDARDIZE
     out = (scale * (centered / denom) + shift).reshape(x.shape)
     n = centered.shape[2]
     g = g.reshape(b, c, n)
@@ -346,7 +339,7 @@ def test_position_planes_repeat_the_channel_axis_formulas_bitwise(h, w,
                              layer_index=1)
     x = T.parameter(x4.reshape(shape))
     with T.Tape() as tape:
-        out = compensate(x, st, draw)
+        out = compensate(x, (c, h, w), draw)
     (gx,) = tape.nodes[0].backward(g4.reshape(shape))
     want_out, want_gx = channel_axis_perturb(
         x4.reshape(shape), *expect[:2], expect[3], expect[5],

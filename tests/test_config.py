@@ -109,6 +109,8 @@ def test_validate_rejects_bad_values():
         {"data_test": "runs/\nte.csv"},
         {"data_train": " tr.csv"},
         {"data_test": "te.csv "},
+        {"data_train": "a\0b.csv"},
+        {"data_test": "te\0.csv"},
         {"use_positive_branch": False},
         {"use_negative_branch": False},
     ]

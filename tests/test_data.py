@@ -8,7 +8,6 @@ import pytest
 
 from uqtrain.data import (
     LabeledDataset,
-    NoiseSpec,
     _parse_lines,
     _parse_table,
     corrupt_labels,
@@ -65,27 +64,27 @@ def test_make_blobs_contract_errors():
 
 def test_corrupt_zero_ratio_is_identity():
     ds = make_blobs(3, 4, 60, 1.0, seed=5)
-    out = corrupt_labels(ds, NoiseSpec(ratio=0.0, seed=1))
+    out = corrupt_labels(ds, 0.0, 1)
     assert np.array_equal(out.labels, ds.labels)
     assert np.array_equal(out.clean_labels, ds.labels)
 
 
 def test_corrupt_full_ratio_two_classes_flips_everything():
     ds = make_blobs(2, 4, 40, 1.0, seed=6)
-    out = corrupt_labels(ds, NoiseSpec(ratio=1.0, seed=1))
+    out = corrupt_labels(ds, 1.0, 1)
     assert np.array_equal(out.labels, 1 - ds.labels)
 
 
 def test_corruption_count_is_exact():
     ds = make_blobs(4, 6, 1000, 1.0, seed=7)
-    out = corrupt_labels(ds, NoiseSpec(ratio=0.3, seed=2))
+    out = corrupt_labels(ds, 0.3, 2)
     assert int((out.labels != out.clean_labels).sum()) == 300
     assert np.array_equal(out.clean_labels, ds.labels)
 
 
 def test_corruption_never_maps_to_self():
     ds = make_blobs(5, 4, 500, 1.0, seed=8)
-    out = corrupt_labels(ds, NoiseSpec(ratio=1.0, seed=3))
+    out = corrupt_labels(ds, 1.0, 3)
     assert np.all(out.labels != out.clean_labels)
     assert out.labels.min() >= 0 and out.labels.max() < 5
 
@@ -93,15 +92,15 @@ def test_corruption_never_maps_to_self():
 def test_corrupt_rejects_bad_spec():
     ds = make_blobs(3, 4, 30, 1.0, seed=9)
     with pytest.raises(ContractError):
-        corrupt_labels(ds, NoiseSpec(ratio=1.5, seed=0))
+        corrupt_labels(ds, 1.5, 0)
 
 
 def test_corruption_is_seed_deterministic():
     ds = make_blobs(4, 6, 200, 1.0, seed=10)
-    a = corrupt_labels(ds, NoiseSpec(ratio=0.2, seed=4))
-    b = corrupt_labels(ds, NoiseSpec(ratio=0.2, seed=4))
+    a = corrupt_labels(ds, 0.2, 4)
+    b = corrupt_labels(ds, 0.2, 4)
     assert np.array_equal(a.labels, b.labels)
-    c = corrupt_labels(ds, NoiseSpec(ratio=0.2, seed=5))
+    c = corrupt_labels(ds, 0.2, 5)
     assert not np.array_equal(a.labels, c.labels)
 
 

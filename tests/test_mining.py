@@ -10,7 +10,7 @@ import uqtrain.mining as mining
 import uqtrain.tensor as T
 from uqtrain import training
 from uqtrain.config import TrainConfig
-from uqtrain.data import NoiseSpec, corrupt_labels, make_blobs, split_dataset
+from uqtrain.data import corrupt_labels, make_blobs, split_dataset
 from uqtrain.errors import ContractError
 from uqtrain.heads import UncertainBatch
 from uqtrain.mining import (TripletPlan, mine_triplets,
@@ -374,7 +374,7 @@ def test_training_plans_match_plans_from_elementwise_distances(
     the plan mined from the elementwise formula."""
     pool = make_blobs(4, 10, 3000, 1.0, seed=5)
     train, test = split_dataset(pool, 2000)
-    train = corrupt_labels(train, NoiseSpec(ratio=0.3, seed=5))
+    train = corrupt_labels(train, 0.3, 5)
     cfg = TrainConfig(seed=5, epochs=3, batch_size=128)
     real = training.mine_triplets
     mined = []

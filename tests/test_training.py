@@ -548,7 +548,7 @@ def test_every_rung_objective_matches_finite_differences(tag, overrides):
     tape and its gradient is zero."""
     f, params = gradcheck.end_to_end_case(0, **overrides)
     assert len(params) == 9
-    assert T.check_gradients(f, params, h=gradcheck.FD_STEP) \
+    assert T.check_gradients(f, params, h=T.FD_STEP) \
         < gradcheck.REL_TOL
 
 
@@ -560,7 +560,7 @@ def test_end_to_end_audit_passes_at_seed_25():
     """The one failing seed of the audit over seeds 0-99.  Strict: once
     the zero-spread rule lands, this passes and the mark must go."""
     assert T.check_gradients(*gradcheck.end_to_end_case(25),
-                             h=gradcheck.FD_STEP) < gradcheck.REL_TOL
+                             h=T.FD_STEP) < gradcheck.REL_TOL
 
 
 def test_step_loss_takes_a_given_plan_only_with_a_partner_branch():
