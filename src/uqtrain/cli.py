@@ -32,13 +32,12 @@ from .data import (
 from .errors import (
     ConfigError,
     DataFormatError,
-    GenerationError,
     NumericalDivergence,
     UqtrainError,
 )
 from .files import write_csv
 from .heads import load_checkpoint
-from .training import (ABLATION_LADDER, REJECTION_RATES, class_count,
+from .training import (ABLATION_LADDER, MAX_MODEL_VALUES, REJECTION_RATES,
                        evaluate, run_experiment)
 
 EXIT_OK = 0
@@ -101,9 +100,7 @@ def _load_pair(cfg: TrainConfig):
     if not cfg.data_train or not cfg.data_test:
         raise ConfigError("data_train and data_test must both be set "
                           "(config file or --data-train/--data-test)")
-    pair = load_dataset(cfg.data_train), load_dataset(cfg.data_test)
-    class_count(*pair, names=(cfg.data_train, cfg.data_test))
-    return pair
+    return load_dataset(cfg.data_train), load_dataset(cfg.data_test)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +112,20 @@ def cmd_synth(args) -> int:
                        ("--test-size", args.test_size)):
         if size < 1:
             raise ConfigError(f"{flag} must be at least 1, got {size}")
+    for flag, seed in (("--seed", args.seed),
+                       ("--noise-seed", args.noise_seed)):
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"{flag} must be in [0, 2**64), got {seed}")
     total = args.train_size + args.test_size
+    # the features drawn and make_blobs' (K, K, D) center differences,
+    # counted before either is allocated
+    for flags, count in (("(--train-size + --test-size) * --features",
+                          total * args.features),
+                         ("--classes ** 2 * --features",
+                          args.classes ** 2 * args.features)):
+        if count > MAX_MODEL_VALUES:
+            raise ConfigError(f"{flags}: {count} values, more than the "
+                              f"bound of {MAX_MODEL_VALUES}")
     pool = make_blobs(args.classes, args.features, total, args.spread,
                       args.seed)
     train, test = split_dataset(pool, args.train_size)
@@ -293,7 +303,7 @@ def main(argv=None) -> int:
     except NumericalDivergence as e:
         print(f"numerical divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataFormatError, GenerationError, OSError) as e:
+    except (DataFormatError, OSError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
     except UqtrainError as e:

@@ -49,6 +49,8 @@ class TrainConfig:
     data_test: str = ""
 
     def validate(self) -> "TrainConfig":
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2")
         if self.epochs < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataFormatError, GenerationError
+from .errors import ContractError, DataFormatError
 from .files import atomic_open
 from .rng import STREAM_DATA, keyed_rng
 
@@ -52,8 +52,8 @@ def make_blobs(n_classes: int, n_features: int, n_samples: int,
     Class centers are drawn i.i.d. N(0, I) and the whole set is redrawn
     until every pair is at least 2 * spread apart (so blobs overlap only
     in their tails); after MAX_CENTER_ATTEMPTS failures this raises
-    GenerationError.  Labels cycle 0..K-1 so every prefix is nearly
-    balanced.  spread = 0 gives point clusters.
+    ContractError, as bad arguments do.  Labels cycle 0..K-1 so every
+    prefix is nearly balanced.  spread = 0 gives point clusters.
     """
     if n_classes < 2:
         raise ContractError(f"need at least 2 classes, got {n_classes}")
@@ -76,7 +76,7 @@ def make_blobs(n_classes: int, n_features: int, n_samples: int,
             centers = cand
             break
     if centers is None:
-        raise GenerationError(
+        raise ContractError(
             f"could not place {n_classes} centers at pairwise distance "
             f">= {2.0 * spread} in {n_features} dims after "
             f"{MAX_CENTER_ATTEMPTS} attempts")

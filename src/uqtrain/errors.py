@@ -18,10 +18,6 @@ class NumericalDivergence(UqtrainError):
     """Training produced a non-finite loss."""
 
 
-class GenerationError(UqtrainError):
-    """Synthetic data generation could not satisfy its constraints."""
-
-
 class ConfigError(UqtrainError):
     """A configuration file or override is malformed or unknown."""
 

@@ -24,14 +24,17 @@ def keyed_rng(seed: int, stream: int, *coords: int) -> np.random.Generator:
     """Generator for the (seed, stream, coords) cell of the key space.
 
     coords may hold up to three non-negative integers (for example
-    epoch, batch index, layer index).  Missing positions are zero.
+    epoch, batch index, layer index).  Missing positions are zero.  A
+    seed outside [0, 2**64), the key's range, raises instead of aliasing.
     """
+    if not 0 <= int(seed) < 2**64:
+        raise ContractError(f"seed must be in [0, 2**64), got {seed}")
     if len(coords) > 3:
         raise ContractError("at most three stream coordinates are supported")
     words = [int(stream)] + [int(c) for c in coords]
     words += [0] * (4 - len(words))
     if any(w < 0 for w in words):
         raise ContractError("stream coordinates must be non-negative")
-    bg = np.random.Philox(key=np.uint64(int(seed) & (2**64 - 1)),
+    bg = np.random.Philox(key=np.uint64(int(seed)),
                           counter=[np.uint64(w) for w in words])
     return np.random.Generator(bg)

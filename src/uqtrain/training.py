@@ -434,14 +434,14 @@ ABLATION_LADDER = [
 
 
 def class_count(train_ds: LabeledDataset, test_ds: LabeledDataset,
-                names=("train data", "test data")) -> int:
+                names: tuple[str, str]) -> int:
     """Classes the classifier needs: one row per class up to the largest
     label of either dataset.  Checks the pair first, raising
-    DataFormatError naming the dataset at fault: a train set under 2
-    rows makes no train batch; a count above the two datasets' rows only
-    allocates rows no sample can train, so it raises before anything is
-    sized by it; a count below 2 leaves nothing to classify, so it
-    raises naming both."""
+    DataFormatError naming the dataset at fault (names: train, test): a
+    train set under 2 rows makes no train batch; a count above the two
+    datasets' rows only allocates rows no sample can train, so it raises
+    before anything is sized by it; a count below 2 leaves nothing to
+    classify, so it raises naming both."""
     if len(train_ds) < 2:
         raise DataFormatError(f"{names[0]}: {len(train_ds)} row(s), a train "
                               "step needs at least 2 samples")
@@ -499,14 +499,16 @@ def run_experiment(cfg: TrainConfig, train_ds: LabeledDataset,
                    test_ds: LabeledDataset, out_dir: str | None = None,
                    tag: str = "run") -> TrainResult:
     """Train one config end to end; optionally write its artifacts
-    (metrics CSV, config echo, checkpoint) under out_dir."""
+    (metrics CSV, config echo, checkpoint) under out_dir.  Refusals of
+    the train/test pair name cfg.data_train and cfg.data_test."""
     cfg.validate()
+    names = (cfg.data_train or "train data", cfg.data_test or "test data")
     width, test_width = train_ds.features.shape[1], test_ds.features.shape[1]
     if width != test_width:
-        raise DataFormatError(f"test data has {test_width} feature columns, "
-                              f"train data has {width}")
+        raise DataFormatError(f"{names[1]} has {test_width} feature columns, "
+                              f"{names[0]} has {width}")
 
-    classes = class_count(train_ds, test_ds)
+    classes = class_count(train_ds, test_ds, names)
     check_model_size(cfg, width, classes,
                      min(max(cfg.batch_size, SCORE_BLOCK_ROWS),
                          max(len(train_ds), len(test_ds))))

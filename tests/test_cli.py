@@ -420,6 +420,70 @@ def test_synth_size_below_one_names_its_flag(tmp_path, capsys, flag, value):
     assert not os.path.exists(train)
 
 
+ROWS_TIMES_FEATURES = "(--train-size + --test-size) * --features"
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["--features", "100000000000"], ROWS_TIMES_FEATURES),
+    (["--test-size", "100000000000000"], ROWS_TIMES_FEATURES),
+    (["--classes", "30000", "--train-size", "60000"],
+     "--classes ** 2 * --features")],
+    ids=["features", "test-size", "classes"])
+def test_synth_past_the_size_bound_exits_2_before_allocating(
+        tmp_path, capsys, args, flags):
+    """The generated features and make_blobs' (K, K, D) center differences
+    are counted by arithmetic against the bound train applies, so each
+    refusal takes milliseconds, prints one line and writes no file."""
+    start = time.perf_counter()
+    code = main(["synth", "--train-out", os.path.join(tmp_path, "t.csv"),
+                 "--test-out", os.path.join(tmp_path, "v.csv")] + args)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flags}: ")
+    assert err.endswith(f"values, more than the bound of {MAX_MODEL_VALUES}\n")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+@pytest.mark.parametrize("flag", ["--seed", "--noise-seed"])
+@pytest.mark.parametrize("ratio", ["0", "0.3"])
+def test_synth_seed_outside_the_key_range_exits_2(tmp_path, capsys, flag,
+                                                   value, ratio):
+    """Philox keys are 64-bit: a seed outside [0, 2**64) would draw the
+    same data as one inside, so it is refused whether or not labels are
+    flipped."""
+    code = main(["synth", "--train-out", os.path.join(tmp_path, "t.csv"),
+                 "--test-out", os.path.join(tmp_path, "v.csv"),
+                 "--train-size", "90", "--test-size", "30",
+                 "--noise-ratio", ratio, flag, value])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {flag} must be in [0, 2**64), got {value}\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+def test_train_seed_outside_the_key_range_exits_2(data_dir, tmp_path, capsys,
+                                                  value, via):
+    """--seed 2**64 used to train the run of --seed 0, and --seed -1 that
+    of 2**64 - 1; either, as a flag or in a config echo, is refused."""
+    if via == "flag":
+        args = fast_args(data_dir) + ["--seed", value]
+    else:
+        cfg = os.path.join(tmp_path, "seed.cfg")
+        with open(cfg, "w") as f:
+            f.write(f"seed = {value}\n")
+        args = fast_args(data_dir) + ["--config", cfg]
+    out = os.path.join(tmp_path, "x")
+    assert main(["train", "--out", out] + args) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: seed must be in [0, 2**64), got {value}\n")
+    assert not os.path.exists(out)
+
+
 def test_failed_artifact_write_names_the_target(data_dir, tmp_path, capsys):
     """An --out whose directory is missing exits 4 naming the file asked
     for, not the temp file beside it, and leaves no temp file."""
@@ -456,7 +520,6 @@ EXIT_TABLE = {
     "ContractError": (EXIT_CONFIG, "error: "),
     "ConfigError": (EXIT_CONFIG, "config error: "),
     "NumericalDivergence": (EXIT_DIVERGED, "numerical divergence: "),
-    "GenerationError": (EXIT_IO, "i/o error: "),
     "DataFormatError": (EXIT_IO, "i/o error: "),
 }
 
@@ -473,13 +536,17 @@ def test_every_error_type_has_its_exit_code(name, capsys, monkeypatch):
     assert capsys.readouterr().err == f"{prefix}the message\n"
 
 
-def test_unplaceable_centers_exit_4(tmp_path, capsys):
+def test_unplaceable_centers_exit_2(tmp_path, capsys):
+    """Centers that cannot be placed are a bad argument to make_blobs,
+    like its others: exit 2, and exit 4 is left to files."""
     code = main(["synth", "--train-out", os.path.join(tmp_path, "t.csv"),
                  "--test-out", os.path.join(tmp_path, "v.csv"),
                  "--classes", "4", "--features", "1", "--spread", "5"])
-    assert code == EXIT_IO
-    assert capsys.readouterr().err.startswith(
-        "i/o error: could not place 4 centers")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not place 4 centers")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 def _list_payload(blob):
@@ -561,19 +628,21 @@ def test_malformed_checkpoint_exits_4(data_dir, tmp_path, capsys, corrupt):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "reject-curve"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval",
+                                     "reject-curve"])
 def test_feature_width_mismatch_exits_4(data_dir, tmp_path, capsys,
                                         command):
-    """Data one column narrower than the train data (train) or than the
-    checkpoint's input (eval, reject-curve) fails before any work."""
+    """Data one column narrower than the train data (train, ablate) or
+    than the checkpoint's input (eval, reject-curve) fails before any
+    work; run_experiment's refusal names the test and the train file."""
     narrow = os.path.join(tmp_path, "narrow.csv")
     assert main(["synth", "--train-out", narrow,
                  "--test-out", os.path.join(tmp_path, "unused.csv"),
                  "--classes", "3", "--features", "5", "--train-size", "30",
                  "--test-size", "15"]) == EXIT_OK
     capsys.readouterr()
-    if command == "train":
-        args = ["train", "--out", os.path.join(tmp_path, "x")] \
+    if command in ("train", "ablate"):
+        args = [command, "--out", os.path.join(tmp_path, "x")] \
             + fast_args(dict(data_dir, test=narrow))
     else:
         ck = os.path.join(tmp_path, "ck.json")
@@ -583,8 +652,11 @@ def test_feature_width_mismatch_exits_4(data_dir, tmp_path, capsys,
     captured = capsys.readouterr()
     assert "i/o error" in captured.err
     assert "5 feature columns" in captured.err and "6" in captured.err
+    if command in ("train", "ablate"):
+        assert captured.err == (f"i/o error: {narrow} has 5 feature "
+                                f"columns, {data_dir['train']} has 6\n")
     assert captured.out == ""
-    assert not os.path.exists(os.path.join(tmp_path, "x", "run_metrics.csv"))
+    assert not os.path.exists(os.path.join(tmp_path, "x"))
 
 
 def test_gradient_overflow_exits_3(data_dir, tmp_path, capsys):

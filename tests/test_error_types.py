@@ -5,6 +5,7 @@ unused-import and tape-op inventories)."""
 import ast
 import os
 
+import numpy as np
 import pytest
 
 from uqtrain.errors import ContractError
@@ -49,15 +50,29 @@ def test_every_error_type_is_raised_or_caught():
                     used |= named(n.type)
     types = error_types()
     assert types == {"UqtrainError", "ConfigError", "ContractError",
-                     "NumericalDivergence", "GenerationError",
-                     "DataFormatError"}
+                     "NumericalDivergence", "DataFormatError"}
     assert types - used == set()
 
 
-@pytest.mark.parametrize("coords, message", [
-    ((1, 2, 3, 4), "at most three stream coordinates are supported"),
-    ((1, -2), "stream coordinates must be non-negative")],
-    ids=["four-coordinates", "negative"])
-def test_keyed_rng_raises_a_contract_error(coords, message):
+@pytest.mark.parametrize("seed, coords, message", [
+    (0, (1, 2, 3, 4), "at most three stream coordinates are supported"),
+    (0, (1, -2), "stream coordinates must be non-negative"),
+    (-1, (), r"seed must be in \[0, 2\*\*64\), got -1$"),
+    (2**64, (), r"seed must be in \[0, 2\*\*64\), got 18446744073709551616$")],
+    ids=["four-coordinates", "negative", "negative-seed", "seed-2**64"])
+def test_keyed_rng_raises_a_contract_error(seed, coords, message):
+    """A seed outside the 64-bit Philox key range raises rather than
+    alias one inside it (2**64 keyed the draws of 0, -1 those of
+    2**64 - 1)."""
     with pytest.raises(ContractError, match=message):
-        keyed_rng(0, STREAM_MINE, *coords)
+        keyed_rng(seed, STREAM_MINE, *coords)
+
+
+def test_keyed_rng_keys_in_range_seeds_unchanged():
+    """Every seed in [0, 2**64) is its own Philox key, as before."""
+    for seed in (0, 7, 2**63, 2**64 - 1):
+        philox = np.random.Philox(key=np.uint64(seed),
+                                  counter=np.array([STREAM_MINE, 0, 0, 0],
+                                                   dtype=np.uint64))
+        np.testing.assert_array_equal(keyed_rng(seed, STREAM_MINE).random(4),
+                                      np.random.Generator(philox).random(4))
